@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import UsageError
+from .tensor import Tensor
 
 HEADER = "DYNROUTE-CKPT-1"
 
@@ -71,6 +72,20 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if pos != len(blob):
         raise UsageError(f"{path}: trailing bytes after array data")
     return arrays, meta
+
+
+def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+    """Copy arrays into the same-named parameters; every parameter must be
+    present with its own shape."""
+    for name, tensor in params.items():
+        if name not in arrays:
+            raise UsageError(f"checkpoint missing parameter {name}")
+        if arrays[name].shape != tensor.data.shape:
+            raise UsageError(
+                f"checkpoint parameter {name} has shape {arrays[name].shape}, "
+                f"expected {tensor.data.shape}"
+            )
+        tensor.data = arrays[name].astype(np.float64).copy()
 
 
 def _read_line(blob: bytes, pos: int) -> tuple[str, int]:

@@ -7,7 +7,8 @@ visits each recorded operation exactly once.
 
 Conventions:
   * float64 everywhere; no in-place mutation of tracked tensors
-  * gradients accumulate into same-shape .grad buffers, lazily allocated
+  * gradients accumulate into same-shape .grad buffers, allocated when
+    the first gradient arrives (in the layout of .data)
   * broadcasting in elementwise ops is undone in backward by summing the
     broadcast axes (see _unbroadcast)
 """
@@ -134,9 +135,16 @@ class Tape:
             for tensor, grad in zip(entry.inputs, grads):
                 if grad is None or not tensor.requires_grad:
                     continue
-                if tensor.grad is None:
+                if tensor.grad is not None:
+                    tensor.grad += grad
+                elif np.shape(grad) == tensor.data.shape:
+                    # a copy in tensor.data's memory layout, as zeros_like
+                    # plus += gives: sums over the gradient keep their order
+                    tensor.grad = np.empty_like(tensor.data)
+                    np.add(grad, 0.0, out=tensor.grad)
+                else:
                     tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad += grad
+                    tensor.grad += grad
 
 
 def record(inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:

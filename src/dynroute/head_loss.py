@@ -154,10 +154,7 @@ class DetectionHead:
         return {k: v.data.copy() for k, v in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.params.items():
-            if name not in arrays:
-                raise UsageError(f"checkpoint missing parameter {name}")
-            tensor.data = arrays[name].astype(np.float64).copy()
+        ad.load_params(self.params, arrays)
 
 
 @dataclass

@@ -31,10 +31,15 @@ features for any gates:
   (the stem feeds layer 1). A node with no live input is dropped: its
   gates are closed whatever its router says, it runs no conv block and
   it is not billed.
-* Infer mode records the resulting open masks and skips every conv and
-  transform that no sample of the batch needs. Train mode also runs the
-  transforms of closed paths at live nodes, so their gates still receive
-  gradient (a closed path's output is zero in the forward pass).
+* Infer mode records the resulting open masks and skips convs and
+  transforms per sample: a node's conv block runs only on the samples
+  with at least one open path out of it, and each up/down transform only
+  on the samples whose path in that direction is open. The results go
+  back to their rows of the batch; the other rows stay zero, so every
+  sample's features are bit-identical to running each conv on the whole
+  batch. Train mode runs the conv block on the whole batch and also runs
+  the transforms of closed paths at live nodes, so their gates still
+  receive gradient (a closed path's output is zero in the forward pass).
 
 The router pools its input, mixes channels, and standardizes the pooled
 vector of each sample (zero mean, unit variance over channels) before
@@ -165,6 +170,26 @@ def _standardize_rows(v: Tensor, eps: float = 1e-6) -> Tensor:
     return ad.div(centered, ad.sqrt(ad.add(var, Tensor(eps))))
 
 
+def _rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
+    """The samples of x at the sorted indices rows (None: every sample)."""
+    return x if rows is None else Tensor(x.data[rows])
+
+
+def _scatter_rows(part: Tensor, rows: np.ndarray | None, batch: int) -> Tensor:
+    """Inverse of _rows: part's samples at the indices rows of a batch,
+    zeros elsewhere.
+
+    The result keeps part's memory layout (bilinear upsampling returns a
+    transposed one), as the full-batch op would have: reductions over
+    the features downstream then add in the same order.
+    """
+    if rows is None:
+        return part
+    full = np.zeros_like(part.data, shape=(batch,) + part.data.shape[1:])
+    full[rows] = part.data
+    return Tensor(full)
+
+
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = float(np.sqrt(6.0 / max(1, fan_in)))
     return rng.uniform(-bound, bound, size=shape)
@@ -224,15 +249,7 @@ class Supernet:
         return {k: v.data.copy() for k, v in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.params.items():
-            if name not in arrays:
-                raise UsageError(f"checkpoint missing parameter {name}")
-            if arrays[name].shape != tensor.data.shape:
-                raise UsageError(
-                    f"checkpoint parameter {name} has shape {arrays[name].shape}, "
-                    f"expected {tensor.data.shape}"
-                )
-            tensor.data = arrays[name].astype(np.float64).copy()
+        ad.load_params(self.params, arrays)
 
     # -- building blocks ----------------------------------------------------
 
@@ -334,19 +351,30 @@ class Supernet:
                     gate_tensors[node] = open_gates
                     needed = self.node_masks[node] & live[:, None]
                 else:
-                    open_gates = Tensor(gates_np[node] * open_mask)
                     needed = open_mask
-                if not needed.any():
+                counts = needed.sum(axis=0).tolist()  # samples per direction
+                if not any(counts):
                     continue  # conv block dropped for the whole batch
-                y = self._sepconv(f"node.{node.layer}.{node.scale}.conv", x)
+                # infer runs the block on the samples with an open path only
+                # (None: on every sample, as train mode always does)
+                runs = None
+                if mode == "infer" and B not in counts:
+                    runs = np.flatnonzero(needed.any(axis=1))
+                y = self._sepconv(f"node.{node.layer}.{node.scale}.conv", _rows(x, runs))
                 for j, direction in enumerate(("up", "keep", "down")):
-                    if not needed[:, j].any():
+                    if counts[j] == 0:
                         continue
                     if mode == "train":
                         g = ad.reshape(ad.take(open_gates, np.arange(B) * 3 + j), (B, 1, 1, 1))
+                        feat = ad.mul(self._transform(node, direction, y), g)
+                    elif counts[j] == B:
+                        g = Tensor(gates_np[node][:, j].reshape(B, 1, 1, 1))
+                        feat = ad.mul(self._transform(node, direction, y), g)
                     else:
-                        g = Tensor(open_gates.data[:, j].reshape(B, 1, 1, 1))
-                    feat = ad.mul(self._transform(node, direction, y), g)
+                        sel = np.flatnonzero(needed[:, j])
+                        g = Tensor(gates_np[node][sel, j].reshape(-1, 1, 1, 1))
+                        y_sel = _rows(y, sel if runs is None else np.searchsorted(runs, sel))
+                        feat = _scatter_rows(ad.mul(self._transform(node, direction, y_sel), g), sel, B)
                     if direction == "keep" and layer == spec.num_layers:
                         last_outputs[scale] = feat
                     else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,8 +50,6 @@ from .scale_budget import (
 )
 from .similarity import SimilarityConfig, local_similarity_loss
 from .supernet import Supernet, SupernetSpec, build_supernet
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

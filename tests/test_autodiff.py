@@ -121,6 +121,18 @@ def test_backward_sum_square_is_2x():
     np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
 
 
+def test_first_gradient_takes_the_layout_of_data():
+    """A gradient arriving in another memory layout (transpose backward
+    returns a view) is stored in x.data's layout with equal values."""
+    x = Tensor(np.random.default_rng(2).normal(size=(3, 4, 2)), requires_grad=True)
+    with Tape() as tape:
+        y = ad.transpose(x, (2, 0, 1))
+        loss = ad.tsum(ad.mul(y, Tensor(np.arange(24.0).reshape(2, 3, 4))))
+        tape.backward(loss)
+    assert x.grad.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(x.grad, np.transpose(np.arange(24.0).reshape(2, 3, 4), (1, 2, 0)))
+
+
 def test_backward_requires_scalar_loss():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with Tape() as tape:

@@ -5,7 +5,7 @@ import pytest
 
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor, grad_check
-from dynroute.errors import NumericError
+from dynroute.errors import NumericError, UsageError
 from dynroute.head_loss import (
     FOCAL_ALPHA,
     DensePrediction,
@@ -57,6 +57,13 @@ class TestHeadForward:
         pred = head.forward(_pyramid(seed=5), _geometry())
         for d in pred.distances:
             assert np.all(d.data > 0)
+
+    def test_load_state_rejects_wrong_shape(self):
+        head = DetectionHead(8, num_classes=2, seed=0)
+        arrays = head.state_arrays()
+        arrays["head.cls_pred.b"] = np.zeros(3)
+        with pytest.raises(UsageError, match=r"head\.cls_pred\.b has shape \(3,\)"):
+            head.load_state(arrays)
 
     def test_gradient_through_tower(self):
         head = DetectionHead(4, num_classes=2, tower_depth=2, seed=2)

@@ -9,6 +9,7 @@ from dynroute.errors import ConfigurationError, UsageError
 from dynroute.supernet import (
     NodeId,
     SupernetSpec,
+    _scatter_rows,
     binarize_gates,
     build_supernet,
     reachable_nodes,
@@ -307,3 +308,102 @@ class TestSupernetForward:
             tape.backward(total)
         fc_w = net.params["node.1.0.router.fc_w"]
         assert fc_w.grad is not None and np.any(fc_w.grad != 0)
+
+
+class TestSampleSparseInfer:
+    """Infer mode runs each node's conv block and transforms only on the
+    samples whose routes open them."""
+
+    BATCH = 16
+    ONE_SAMPLE = NodeId(4, 1)  # opened by sample 2 alone
+    UP_DOWN = NodeId(5, 1)  # sample 3 opens only up, sample 4 only down
+
+    def _routes(self, net, every_sample_node=None):
+        rng = np.random.default_rng(11)
+        g = {
+            n: rng.uniform(0.1, 1.0, (self.BATCH, 3)) * (rng.random((self.BATCH, 3)) < 0.5)
+            * net.node_masks[n]
+            for n in net.nodes
+        }
+        for n in net.nodes:
+            g[n][0] = 0.0  # sample 0: every path closed
+            g[n][2:5] = 0.7 * net.node_masks[n]  # samples 2-4 keep every node live
+        g[self.ONE_SAMPLE][np.arange(self.BATCH) != 2] = 0.0
+        g[self.UP_DOWN][3] = [0.6, 0.0, 0.0]
+        g[self.UP_DOWN][4] = [0.0, 0.0, 0.6]
+        if every_sample_node is not None:
+            g[every_sample_node][:] = 0.5 * net.node_masks[every_sample_node]
+            g[every_sample_node][::2, 2] = 0.0  # a sparse transform after a dense block
+        return g
+
+    def test_batch_equals_single_sample_calls(self):
+        net = build_supernet(DESK_SPEC, seed=5)
+        imgs = _images(DESK_SPEC, self.BATCH, seed=12)
+        for every_sample_node in (None, NodeId(1, 0)):
+            forced = self._routes(net, every_sample_node)
+            pyramid, record = net.forward(imgs, mode="infer", forced_gates=forced)
+            needed = {n: record.masks[n].any(axis=1) for n in net.nodes}
+            if every_sample_node is None:
+                assert not any(needed[n][0] for n in net.nodes)
+            else:
+                assert needed[every_sample_node].all()
+                assert record.masks[every_sample_node][:, 1].all()
+                assert record.masks[every_sample_node][:, 2].sum() == self.BATCH // 2
+            assert needed[self.ONE_SAMPLE].sum() == 1
+            np.testing.assert_array_equal(record.masks[self.UP_DOWN][3:5], [[1, 0, 0], [0, 0, 1]])
+            for b in range(self.BATCH):
+                one = {n: g[b : b + 1] for n, g in forced.items()}
+                pyr_b, rec_b = net.forward(
+                    Tensor(imgs.data[b : b + 1]), mode="infer", forced_gates=one
+                )
+                for level, single in zip(pyramid, pyr_b):
+                    assert np.array_equal(level.data[b : b + 1], single.data)
+                for n in net.nodes:
+                    assert np.array_equal(record.gates[n][b : b + 1], rec_b.gates[n])
+                    assert np.array_equal(record.masks[n][b : b + 1], rec_b.masks[n])
+
+    def test_scattered_rows_keep_the_memory_layout(self):
+        """Bilinear upsampling returns a transposed layout. Rows put back
+        in another layout would change the order of later reductions (the
+        router's pooling sums), so results would differ in the last bits
+        from running the transform on the whole batch."""
+        part = ad.bilinear_upsample_2x(Tensor(np.random.default_rng(0).normal(size=(3, 4, 2, 2))))
+        rows = np.array([True, False, True, False, True])
+        full = _scatter_rows(part, np.flatnonzero(rows), 5).data
+        assert not part.data.flags["C_CONTIGUOUS"]
+        assert np.argsort(full.strides).tolist() == np.argsort(part.data.strides).tolist()
+        assert np.array_equal(full[rows], part.data)
+        assert not full[~rows].any()
+
+    def test_convs_run_only_on_samples_that_need_them(self, monkeypatch):
+        net = build_supernet(DESK_SPEC, seed=5)
+        block = {id(net.params[f"node.{n.layer}.{n.scale}.conv.pw_w"]) for n in net.nodes}
+        transform = {
+            id(p): j
+            for n in net.nodes
+            for j, d in ((0, "up"), (2, "down"))
+            if (p := net.params.get(f"node.{n.layer}.{n.scale}.{d}_w")) is not None
+        }
+        rows = {"block": 0, 0: 0, 2: 0}
+        sepconv, conv1x1 = ad.depthwise_separable_conv3x3, ad.conv2d_1x1
+
+        def counted_sepconv(x, w_dw, w_pw, b_pw=None, stride=1):
+            if id(w_pw) in block:
+                rows["block"] += x.data.shape[0]
+            return sepconv(x, w_dw, w_pw, b_pw, stride=stride)
+
+        def counted_conv1x1(x, w, stride=1):
+            if id(w) in transform:
+                rows[transform[id(w)]] += x.data.shape[0]
+            return conv1x1(x, w, stride=stride)
+
+        monkeypatch.setattr(ad, "depthwise_separable_conv3x3", counted_sepconv)
+        monkeypatch.setattr(ad, "conv2d_1x1", counted_conv1x1)
+        _, record = net.forward(
+            _images(DESK_SPEC, self.BATCH, seed=12), mode="infer", forced_gates=self._routes(net)
+        )
+        masks = [record.masks[n] for n in net.nodes]
+        assert rows["block"] == sum(int(m.any(axis=1).sum()) for m in masks)
+        assert rows["block"] < self.BATCH * len(net.nodes)
+        for j in (0, 2):
+            assert rows[j] == sum(int(m[:, j].sum()) for m in masks)
