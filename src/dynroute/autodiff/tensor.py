@@ -137,14 +137,11 @@ class Tape:
                     continue
                 if tensor.grad is not None:
                     tensor.grad += grad
-                elif np.shape(grad) == tensor.data.shape:
+                else:
                     # a copy in tensor.data's memory layout, as zeros_like
                     # plus += gives: sums over the gradient keep their order
                     tensor.grad = np.empty_like(tensor.data)
                     np.add(grad, 0.0, out=tensor.grad)
-                else:
-                    tensor.grad = np.zeros_like(tensor.data)
-                    tensor.grad += grad
 
 
 def record(inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:

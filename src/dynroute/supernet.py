@@ -175,16 +175,14 @@ def _rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
     return x if rows is None else Tensor(x.data[rows])
 
 
-def _scatter_rows(part: Tensor, rows: np.ndarray | None, batch: int) -> Tensor:
-    """Inverse of _rows: part's samples at the indices rows of a batch,
-    zeros elsewhere.
+def _scatter_rows(part: Tensor, rows: np.ndarray, batch: int) -> Tensor:
+    """Inverse of _rows: part's samples at the sorted indices rows of a
+    batch, zeros elsewhere.
 
     The result keeps part's memory layout (bilinear upsampling returns a
     transposed one), as the full-batch op would have: reductions over
     the features downstream then add in the same order.
     """
-    if rows is None:
-        return part
     full = np.zeros_like(part.data, shape=(batch,) + part.data.shape[1:])
     full[rows] = part.data
     return Tensor(full)

@@ -5,6 +5,7 @@ import pytest
 
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor, grad_check
+from dynroute.autodiff.tensor import record
 from dynroute.errors import ConfigurationError, UsageError
 
 
@@ -131,6 +132,20 @@ def test_first_gradient_takes_the_layout_of_data():
         tape.backward(loss)
     assert x.grad.flags["C_CONTIGUOUS"]
     np.testing.assert_array_equal(x.grad, np.transpose(np.arange(24.0).reshape(2, 3, 4), (1, 2, 0)))
+
+
+def test_first_gradient_broadcasts_to_the_shape_of_data():
+    """A backward that returns a gradient of another shape (here a scalar)
+    is broadcast into a .grad of x.data's shape, as zeros plus the
+    gradient would be."""
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        y = record([x], np.zeros(()), lambda g: (np.float64(-0.0),))
+        loss = ad.tsum(y)
+        tape.backward(loss)
+    assert x.grad.shape == (2, 3)
+    np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+    assert not np.signbit(x.grad).any()
 
 
 def test_backward_requires_scalar_loss():
