@@ -43,6 +43,13 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
         blob = f.read()
+    try:
+        return _parse(blob, path)
+    except (IndexError, ValueError) as exc:  # short or garbled manifest or data
+        raise UsageError(f"{path}: malformed checkpoint: {exc}") from None
+
+
+def _parse(blob: bytes, path) -> tuple[dict[str, np.ndarray], dict]:
     nl = blob.index(b"\n")
     if blob[:nl].decode("ascii") != HEADER:
         raise UsageError(f"{path}: not a {HEADER} checkpoint")
@@ -51,6 +58,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     line, pos = _read_line(blob, pos)
     if line.startswith("meta "):
         meta = json.loads(line[5:])
+        if not isinstance(meta, dict):
+            raise UsageError(f"{path}: checkpoint meta is not a JSON object")
         line, pos = _read_line(blob, pos)
     if not line.startswith("arrays "):
         raise UsageError(f"{path}: malformed manifest, expected 'arrays N'")

@@ -7,198 +7,35 @@ Subcommands:
     cost-report   per-sample cost CSV for a corpus under a checkpoint
     export-route  DOT or SVG diagram of one image's binarized route
 
-Configuration is a single JSON document (schema "dynroute-config/1")
-with sections supernet, budget, similarity, head, data, train; every
-field has a default and unknown keys are rejected. The environment
-variable DYNROUTE_SEED overrides both data and train seeds.
-
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
-import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .costmodel import CostReport, binary_route_cost, compile_cost_table
-from .data_synth import Corpus, SynthConfig, generate_corpus, load_corpus, read_pgm, save_corpus
-from .errors import ConfigurationError, DataError, DynrouteError, NumericError, UsageError
-from .scale_budget import ScaleIntervals
+from . import trainer  # load_model is looked up on trainer, where perfbench wraps it
+from .autodiff import Tensor
+from .config import load_config, synth_config_from, train_config_from
+# binary_route_cost is not called here; perfbench/tracing.py wraps this binding
+from .costmodel import CostReport, binary_route_cost  # noqa: F401
+from .data_synth import generate_corpus, load_corpus, read_pgm, save_corpus
+from .errors import ConfigurationError, DataError, NumericError, UsageError
 from .supernet import NodeId, RouteRecord, SupernetSpec
 from .trainer import (
-    Model,
-    TrainConfig,
     TrainingAborted,
+    corpus_cost_table,
     evaluate_routing,
+    infer_batches,
+    model_from_config,
     save_model,
     train,
     write_log,
 )
-from .autodiff import Tensor, load_checkpoint
-
-SCHEMA = "dynroute-config/1"
-
-DEFAULT_CONFIG: dict = {
-    "schema": SCHEMA,
-    "supernet": {
-        "num_layers": 8,
-        "num_scales": 4,
-        "channels_per_scale": [8, 16, 32, 64],
-        "gate_threshold": 1e-4,
-        "head_channels": 32,
-        "in_channels": 1,
-    },
-    "budget": {
-        "strategy": "scale_dynamic",
-        "c0_ratio": 0.05,
-        "loss_buffer_len": 100,
-    },
-    "similarity": {"min_sim": 0.6, "max_sim": 0.95},
-    "head": {"num_classes": 2, "tower_depth": 2},
-    "data": {
-        "image_size": 64,
-        "num_images": 512,
-        "num_classes": 2,
-        "noise": 0.02,
-        "seed": 7,
-        "scale_boundaries": [8, 16, 32],
-        "scale_mix": [
-            [[1, 0, 0, 0], 0.15],
-            [[0, 1, 0, 0], 0.15],
-            [[0, 0, 1, 0], 0.15],
-            [[0, 0, 0, 1], 0.15],
-            [[1, 1, 1, 1], 0.25],
-            [[1, 1, 0, 0], 0.15],
-        ],
-    },
-    "train": {
-        "batch_size": 8,
-        "epochs": 12,
-        "base_lr": 0.01,
-        "lr_drop_epochs": [8, 11],
-        "momentum": 0.9,
-        "weight_decay": 1e-4,
-        "lambda1": 1.0,
-        "lambda2": 1.0,
-        "seed": 7,
-        "regularizer_warmup_epochs": 1,
-        "ramp_steps": 100,
-        "pretrain_epochs": 0,
-        "clip_grad_norm": 10.0,
-        "lr_warmup_steps": 50,
-        "router_lr_scale": 1.0,
-    },
-}
-
-
-def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in overrides.items():
-        if key not in defaults:
-            raise ConfigurationError(f"unknown config key {path}.{key}" if path else f"unknown config key {key}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            merged[key] = _merge_section(defaults[key], value, f"{path}.{key}" if path else key)
-        else:
-            merged[key] = value
-    return merged
-
-
-def load_config(path: str | None) -> dict:
-    """Read and validate a config file; None yields pure defaults."""
-    overrides: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                overrides = json.load(f)
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-    config = _merge_section(DEFAULT_CONFIG, overrides, "")
-    if config["schema"] != SCHEMA:
-        raise ConfigurationError(
-            f"config schema {config['schema']!r} not supported; expected {SCHEMA!r}"
-        )
-    env_seed = os.environ.get("DYNROUTE_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigurationError(f"DYNROUTE_SEED must be an integer, got {env_seed!r}") from exc
-        config["data"]["seed"] = seed
-        config["train"]["seed"] = seed
-    return config
-
-
-def supernet_spec_from(config: dict) -> SupernetSpec:
-    s = config["supernet"]
-    return SupernetSpec(
-        num_layers=int(s["num_layers"]),
-        num_scales=int(s["num_scales"]),
-        channels_per_scale=tuple(int(c) for c in s["channels_per_scale"]),
-        gate_threshold=float(s["gate_threshold"]),
-        head_channels=int(s["head_channels"]),
-        in_channels=int(s["in_channels"]),
-    )
-
-
-def intervals_from(config: dict) -> ScaleIntervals:
-    return ScaleIntervals(tuple(float(b) for b in config["data"]["scale_boundaries"]))
-
-
-def synth_config_from(config: dict) -> SynthConfig:
-    d = config["data"]
-    return SynthConfig(
-        image_size=int(d["image_size"]),
-        num_images=int(d["num_images"]),
-        num_classes=int(d["num_classes"]),
-        scale_mix=tuple((tuple(int(b) for b in p), float(w)) for p, w in d["scale_mix"]),
-        noise=float(d["noise"]),
-        seed=int(d["seed"]),
-        boundaries=tuple(float(b) for b in d["scale_boundaries"]),
-    )
-
-
-def train_config_from(config: dict) -> TrainConfig:
-    t = config["train"]
-    b = config["budget"]
-    return TrainConfig(
-        batch_size=int(t["batch_size"]),
-        epochs=int(t["epochs"]),
-        base_lr=float(t["base_lr"]),
-        lr_drop_epochs=tuple(int(e) for e in t["lr_drop_epochs"]),
-        momentum=float(t["momentum"]),
-        weight_decay=float(t["weight_decay"]),
-        budget_strategy=str(b["strategy"]),
-        c0_ratio=float(b["c0_ratio"]),
-        lambda1=float(t["lambda1"]),
-        lambda2=float(t["lambda2"]),
-        seed=int(t["seed"]),
-        regularizer_warmup_epochs=int(t["regularizer_warmup_epochs"]),
-        ramp_steps=int(t["ramp_steps"]),
-        loss_buffer_len=int(b["loss_buffer_len"]),
-        pretrain_epochs=int(t["pretrain_epochs"]),
-        clip_grad_norm=float(t["clip_grad_norm"]),
-        lr_warmup_steps=int(t["lr_warmup_steps"]),
-        router_lr_scale=float(t["router_lr_scale"]),
-    )
-
-
-def model_from_config(config: dict) -> Model:
-    return Model(
-        spec=supernet_spec_from(config),
-        intervals=intervals_from(config),
-        num_classes=int(config["head"]["num_classes"]),
-        tower_depth=int(config["head"]["tower_depth"]),
-        seed=int(config["train"]["seed"]),
-    )
-
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -239,12 +76,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .trainer import load_model
-
-    model, _config = load_model(args.checkpoint)
+    model, _config = trainer.load_model(args.checkpoint)
     corpus = load_corpus(args.data)
-    if len(corpus) == 0:
-        raise UsageError("evaluation corpus is empty")
     summary = evaluate_routing(model, corpus)
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -256,22 +89,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cost_report(args) -> int:
-    from .trainer import load_model
-
-    model, _config = load_model(args.checkpoint)
+    model, _config = trainer.load_model(args.checkpoint)
     corpus = load_corpus(args.data)
-    if len(corpus) == 0:
-        raise UsageError("corpus is empty")
-    size = corpus.images.shape[1]
-    table = compile_cost_table(model.spec, size, size)
-    costs: list[float] = []
-    for start in range(0, len(corpus), 16):
-        idxs = np.arange(start, min(start + 16, len(corpus)))
-        images = Tensor(corpus.images[idxs].astype(np.float64)[:, None] / 255.0)
-        _, record = model.supernet.forward(images, mode="infer")
-        costs.extend(binary_route_cost(record.masks, table).tolist())
+    table = corpus_cost_table(model, corpus)
+    costs = np.concatenate([c for *_, c in infer_batches(model, corpus, table)]).tolist()
     report = CostReport(
-        sample_costs=[float(c) for c in costs],
+        sample_costs=costs,
         total_cost=table.total,
         router_madds=table.router_madds,
     )
@@ -284,11 +107,9 @@ def cmd_cost_report(args) -> int:
 
 
 def cmd_export_route(args) -> int:
-    from .trainer import load_model
-
     if args.format not in ("dot", "svg"):
         raise UsageError(f"unknown format {args.format!r}; expected dot or svg")
-    model, _config = load_model(args.checkpoint)
+    model, _config = trainer.load_model(args.checkpoint)
     image = read_pgm(args.image).astype(np.float64) / 255.0
     images = Tensor(image[None, None, :, :])
     _, record = model.supernet.forward(images, mode="infer")

@@ -1,0 +1,237 @@
+"""Run configuration: schema, defaults, validation and typed builders.
+
+A config is a single JSON document (schema "dynroute-config/1") with
+sections supernet, budget, similarity, head, data, train. Every field
+has a default and unknown keys are rejected. The environment variable
+DYNROUTE_SEED overrides both data and train seeds.
+
+load_config merges a file over the defaults and builds every typed
+object from the result, so a bad value fails there, as one
+ConfigurationError naming its key, before any work is done.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import os
+from dataclasses import dataclass
+
+from .data_synth import SynthConfig
+from .errors import ConfigurationError
+from .head_loss import LossWeights
+from .scale_budget import STRATEGIES, ScaleIntervals
+from .similarity import SimilarityConfig
+from .supernet import SupernetSpec
+
+SCHEMA = "dynroute-config/1"
+
+DEFAULT_CONFIG: dict = {
+    "schema": SCHEMA,
+    "supernet": {
+        "num_layers": 8,
+        "num_scales": 4,
+        "channels_per_scale": [8, 16, 32, 64],
+        "gate_threshold": 1e-4,
+        "head_channels": 32,
+        "in_channels": 1,
+    },
+    "budget": {
+        "strategy": "scale_dynamic",
+        "c0_ratio": 0.05,
+        "loss_buffer_len": 100,
+    },
+    "similarity": {"min_sim": 0.6, "max_sim": 0.95},
+    "head": {"num_classes": 2, "tower_depth": 2},
+    "data": {
+        "image_size": 64,
+        "num_images": 512,
+        "num_classes": 2,
+        "noise": 0.02,
+        "seed": 7,
+        "scale_boundaries": [8, 16, 32],
+        "scale_mix": [
+            [[1, 0, 0, 0], 0.15],
+            [[0, 1, 0, 0], 0.15],
+            [[0, 0, 1, 0], 0.15],
+            [[0, 0, 0, 1], 0.15],
+            [[1, 1, 1, 1], 0.25],
+            [[1, 1, 0, 0], 0.15],
+        ],
+    },
+    "train": {
+        "batch_size": 8,
+        "epochs": 12,
+        "base_lr": 0.01,
+        "lr_drop_epochs": [8, 11],
+        "momentum": 0.9,
+        "weight_decay": 1e-4,
+        "lambda1": 1.0,
+        "lambda2": 1.0,
+        "seed": 7,
+        "regularizer_warmup_epochs": 1,
+        "ramp_steps": 100,
+        "pretrain_epochs": 0,
+        "clip_grad_norm": 10.0,
+        "lr_warmup_steps": 50,
+        "router_lr_scale": 1.0,
+    },
+}
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    batch_size: int = 8
+    epochs: int = 12
+    base_lr: float = 0.01
+    lr_drop_epochs: tuple[int, ...] = (8, 11)
+    momentum: float = 0.9
+    weight_decay: float = 1e-4
+    budget_strategy: str = "scale_dynamic"
+    c0_ratio: float = 0.05
+    lambda1: float = 1.0
+    lambda2: float = 1.0
+    seed: int = 0
+    regularizer_warmup_epochs: int = 1
+    ramp_steps: int = 100
+    # dense pretraining epochs before the routed schedule: routers are
+    # bypassed with every gate forced to 1 and only the detection loss
+    # runs. Off by default: at desk scale a converged dense backbone
+    # yields pooled features too uniform for routers to discriminate
+    pretrain_epochs: int = 0
+    loss_buffer_len: int = 100
+    clip_grad_norm: float = 10.0  # 0 disables clipping
+    lr_warmup_steps: int = 50  # linear ramp from base_lr/10; 0 disables
+    router_lr_scale: float = 1.0  # separate effective lr for router params
+    similarity: SimilarityConfig = SimilarityConfig()  # bounds of L_local's targets
+
+    def validate(self) -> None:
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ConfigurationError("batch_size and epochs must be >= 1")
+        if any(e < 1 or e > self.epochs for e in self.lr_drop_epochs):
+            raise ConfigurationError(
+                f"lr_drop_epochs {self.lr_drop_epochs} must lie in [1, {self.epochs}]"
+            )
+        LossWeights(self.lambda1, self.lambda2)  # rejects negative weights
+        if self.lambda2 > 0 and self.batch_size < 2:
+            raise ConfigurationError("batch_size must be >= 2 when lambda2 > 0")
+        if not (0 < self.c0_ratio <= 1):
+            raise ConfigurationError(f"c0_ratio must be in (0, 1], got {self.c0_ratio}")
+        if self.budget_strategy not in STRATEGIES:
+            raise ConfigurationError(
+                f"unknown budget strategy {self.budget_strategy!r}; expected one of {STRATEGIES}"
+            )
+        if self.loss_buffer_len < 1:
+            raise ConfigurationError("loss_buffer_len must be >= 1")
+        if not self.base_lr > 0:
+            raise ConfigurationError(f"base_lr must be positive, got {self.base_lr}")
+        if not (0 <= self.momentum < 1):
+            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
+
+
+def _merge_section(defaults: dict, overrides, path: str) -> dict:
+    if not isinstance(overrides, dict):
+        raise ConfigurationError(f"config {path or 'document'} must be a JSON object")
+    merged = copy.deepcopy(defaults)
+    for key, value in overrides.items():
+        if key not in defaults:
+            raise ConfigurationError(f"unknown config key {path}.{key}" if path else f"unknown config key {key}")
+        if isinstance(defaults[key], dict):
+            merged[key] = _merge_section(defaults[key], value, f"{path}.{key}" if path else key)
+        else:
+            merged[key] = value
+    return merged
+
+
+def load_config(path: str | None) -> dict:
+    """Read and validate a config file; None yields pure defaults."""
+    overrides: dict = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                overrides = json.load(f)
+        except FileNotFoundError as exc:
+            raise ConfigurationError(f"config file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+    config = _merge_section(DEFAULT_CONFIG, overrides, "")
+    if config["schema"] != SCHEMA:
+        raise ConfigurationError(
+            f"config schema {config['schema']!r} not supported; expected {SCHEMA!r}"
+        )
+    env_seed = os.environ.get("DYNROUTE_SEED")
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError as exc:
+            raise ConfigurationError(f"DYNROUTE_SEED must be an integer, got {env_seed!r}") from exc
+        config["data"]["seed"] = seed
+        config["train"]["seed"] = seed
+    supernet_spec_from(config).validate()
+    synth_config_from(config).validate()
+    train_config_from(config).validate()
+    head_from(config)
+    return config
+
+
+def _section(config: dict, name: str, **kinds) -> dict:
+    """The named keys of one config section, each through its converter;
+    a value the converter cannot take is a ConfigurationError naming it."""
+    values = {}
+    for key, convert in kinds.items():
+        try:
+            values[key] = convert(config[name][key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"config key {name}.{key}: {exc!r}") from None
+    return values
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _scale_mix(mix) -> tuple[tuple[tuple[int, ...], float], ...]:
+    return tuple((_ints(pattern), float(weight)) for pattern, weight in mix)
+
+
+def supernet_spec_from(config: dict) -> SupernetSpec:
+    return SupernetSpec(**_section(
+        config, "supernet", num_layers=int, num_scales=int, channels_per_scale=_ints,
+        gate_threshold=float, head_channels=int, in_channels=int,
+    ))
+
+
+def intervals_from(config: dict) -> ScaleIntervals:
+    return ScaleIntervals(_section(config, "data", scale_boundaries=_floats)["scale_boundaries"])
+
+
+def synth_config_from(config: dict) -> SynthConfig:
+    data = _section(
+        config, "data", image_size=int, num_images=int, num_classes=int,
+        scale_mix=_scale_mix, noise=float, seed=int, scale_boundaries=_floats,
+    )
+    return SynthConfig(boundaries=data.pop("scale_boundaries"), **data)
+
+
+def head_from(config: dict) -> dict:
+    """num_classes and tower_depth of the detection head."""
+    return _section(config, "head", num_classes=int, tower_depth=int)
+
+
+def train_config_from(config: dict) -> TrainConfig:
+    budget = _section(config, "budget", strategy=str, c0_ratio=float, loss_buffer_len=int)
+    budget["budget_strategy"] = budget.pop("strategy")
+    return TrainConfig(
+        **budget,
+        **_section(
+            config, "train", batch_size=int, epochs=int, base_lr=float, lr_drop_epochs=_ints,
+            momentum=float, weight_decay=float, lambda1=float, lambda2=float, seed=int,
+            regularizer_warmup_epochs=int, ramp_steps=int, pretrain_epochs=int,
+            clip_grad_norm=float, lr_warmup_steps=int, router_lr_scale=float,
+        ),
+        similarity=SimilarityConfig(**_section(config, "similarity", min_sim=float, max_sim=float)),
+    )

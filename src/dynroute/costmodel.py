@@ -30,7 +30,7 @@ masks admit and counting multiplies from the actual array shapes.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,7 +188,9 @@ class _Counter:
     def __init__(self):
         self.total = 0
 
-    def sepconv(self, x: np.ndarray, w_dw: np.ndarray, w_pw: np.ndarray, stride: int) -> np.ndarray:
+    def sepconv_relu(
+        self, x: np.ndarray, w_dw: np.ndarray, w_pw: np.ndarray, b_pw: np.ndarray, stride: int
+    ) -> np.ndarray:
         c_in, h, wdt = x.shape
         oh = (h + 2 - 3) // stride + 1
         ow = (wdt + 2 - 3) // stride + 1
@@ -201,7 +203,7 @@ class _Counter:
         out = np.einsum("oc,chw->ohw", w_pw, t)
         self.total += t.size * 9  # depthwise: 9 multiplies per produced element
         self.total += out.size * c_in  # pointwise: one dot of length C_in each
-        return out
+        return np.maximum(out + b_pw[:, None, None], 0.0)  # bias and ReLU are not counted
 
     def conv1x1(self, x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
         xs = x[:, ::stride, ::stride]
@@ -241,8 +243,9 @@ def count_executed_madds(
     p = {k: v.data for k, v in net.params.items()}
 
     x = image.astype(np.float64)
-    for i in range(3):  # stem: not counted (outside the routable region)
-        x = _sepconv_plain(x, p[f"stem.{i}.dw_w"], p[f"stem.{i}.pw_w"], p[f"stem.{i}.pw_b"], 2)
+    stem = _Counter()  # the stem's count is dropped (outside the routable region)
+    for i in range(3):
+        x = stem.sepconv_relu(x, p[f"stem.{i}.dw_w"], p[f"stem.{i}.pw_w"], p[f"stem.{i}.pw_b"], 2)
 
     incoming: dict[int, list[np.ndarray]] = {0: [x]}
     final: dict[int, np.ndarray] = {}
@@ -261,9 +264,9 @@ def count_executed_madds(
             if not mask.any():
                 continue  # block dropped: contributes nothing downstream
             base = f"node.{layer}.{scale}"
-            y = counter.sepconv(feat, p[f"{base}.conv.dw_w"], p[f"{base}.conv.pw_w"], 1)
-            y += p[f"{base}.conv.pw_b"][:, None, None]
-            y = np.maximum(y, 0.0)
+            y = counter.sepconv_relu(
+                feat, p[f"{base}.conv.dw_w"], p[f"{base}.conv.pw_w"], p[f"{base}.conv.pw_b"], 1
+            )
             if mask[0] and scale - 1 >= 0 and layer < spec.num_layers:
                 up = _upsample2x_plain(counter.conv1x1(y, p[f"{base}.up_w"]))
                 _accumulate(nxt, scale - 1, up)
@@ -281,20 +284,6 @@ def count_executed_madds(
 
 def _accumulate(store: dict[int, list[np.ndarray]], key: int, value: np.ndarray) -> None:
     store.setdefault(key, []).append(value)
-
-
-def _sepconv_plain(x, w_dw, w_pw, b_pw, stride):
-    c_in, h, w = x.shape
-    oh = (h + 2 - 3) // stride + 1
-    ow = (w + 2 - 3) // stride + 1
-    xp = np.zeros((c_in, h + 2, w + 2))
-    xp[:, 1 : 1 + h, 1 : 1 + w] = x
-    t = np.zeros((c_in, oh, ow))
-    for u in range(3):
-        for v in range(3):
-            t += w_dw[:, u, v][:, None, None] * xp[:, u : u + stride * oh : stride, v : v + stride * ow : stride]
-    out = np.einsum("oc,chw->ohw", w_pw, t) + b_pw[:, None, None]
-    return np.maximum(out, 0.0)
 
 
 # ---------------------------------------------------------------------------

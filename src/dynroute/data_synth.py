@@ -14,7 +14,7 @@ one record per image, {"image_id": int, "boxes": [[x, y, w, h, class]]}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -227,16 +227,19 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
 def read_pgm(path: str | Path) -> np.ndarray:
     with open(path, "rb") as f:
         blob = f.read()
-    parts = []
-    pos = 0
-    while len(parts) < 4:
-        nl = blob.index(b"\n", pos)
-        parts.extend(blob[pos:nl].split())
-        pos = nl + 1
-    if parts[0] != b"P5" or parts[3] != b"255":
-        raise DataError(f"{path}: expected binary PGM with maxval 255")
-    w, h = int(parts[1]), int(parts[2])
-    return np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w).copy()
+    try:
+        parts = []
+        pos = 0
+        while len(parts) < 4:
+            nl = blob.index(b"\n", pos)
+            parts.extend(blob[pos:nl].split())
+            pos = nl + 1
+        if parts[0] != b"P5" or parts[3] != b"255":
+            raise DataError(f"{path}: expected binary PGM with maxval 255")
+        w, h = int(parts[1]), int(parts[2])
+        return np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w).copy()
+    except ValueError as exc:  # short header or pixel data, non-numeric size
+        raise DataError(f"{path}: malformed PGM: {exc}") from None
 
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
@@ -254,14 +257,22 @@ def load_corpus(dir_path: str | Path) -> Corpus:
     ann_path = root / "annotations.jsonl"
     if not ann_path.exists():
         raise DataError(f"{root}: no annotations.jsonl found")
-    annotations = []
-    with open(ann_path, "r", encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                annotations.append(json.loads(line))
+    try:
+        with open(ann_path, "r", encoding="ascii") as f:
+            annotations = [json.loads(line) for line in f if line.strip()]
+        names = [f"img_{rec['image_id']:05d}.pgm" for rec in annotations]
+        for rec in annotations:
+            if not all(len(b) == 5 and all(isinstance(v, (int, float)) for v in b) for b in rec["boxes"]):
+                raise ValueError(f"boxes of image {rec['image_id']} are not [x, y, w, h, class]")
+    except (KeyError, TypeError, ValueError) as exc:  # not ASCII, not JSON, not a record
+        raise DataError(f"{ann_path}: malformed annotations: {exc!r}") from None
     images = []
-    for rec in annotations:
-        images.append(read_pgm(root / "images" / f"img_{rec['image_id']:05d}.pgm"))
+    for name in names:
+        try:
+            images.append(read_pgm(root / "images" / name))
+        except FileNotFoundError:
+            raise DataError(f"{root / 'images' / name}: annotated image not found") from None
+    if len({image.shape for image in images}) > 1:
+        raise DataError(f"{root}: images differ in size")
     return Corpus(images=np.stack(images) if images else np.zeros((0, 0, 0), dtype=np.uint8),
                   annotations=annotations)

@@ -30,7 +30,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError, NumericError, UsageError
 from .scale_budget import ScaleIntervals
-from .supernet import SupernetSpec
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -225,7 +224,7 @@ def assign_targets(
 
 
 def _focal_term(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    """Elementwise sigmoid focal loss, alpha=0.25, gamma=2, summed."""
+    """Elementwise sigmoid focal terms, alpha=0.25, gamma=2; the loss is minus their sum."""
     t = Tensor(onehot)
     one_minus_t = Tensor(1.0 - onehot)
     p = ad.sigmoid(logits)
@@ -233,14 +232,13 @@ def _focal_term(logits: Tensor, onehot: np.ndarray) -> Tensor:
     log_1mp = ad.log_sigmoid(ad.neg(logits))
     pos = ad.mul(ad.mul(t, ad.square(ad.sub(Tensor(1.0), p))), log_p)
     neg_term = ad.mul(ad.mul(one_minus_t, ad.square(p)), log_1mp)
-    combined = ad.add(
+    return ad.add(
         ad.mul(pos, Tensor(FOCAL_ALPHA)), ad.mul(neg_term, Tensor(1.0 - FOCAL_ALPHA))
     )
-    return ad.neg(ad.tsum(combined))
 
 
 def _iou_loss_term(pred_dist: Tensor, target_dist: np.ndarray) -> Tensor:
-    """Sum of (1 - IoU) for aligned (P, 4) predicted/target distances."""
+    """1 - IoU for each row of aligned (P, 4) predicted/target distances."""
     P = target_dist.shape[0]
     cols = [ad.take(pred_dist, np.arange(P) * 4 + j) for j in range(4)]
     tl, tt, tr, tb = [Tensor(target_dist[:, j]) for j in range(4)]
@@ -252,14 +250,16 @@ def _iou_loss_term(pred_dist: Tensor, target_dist: np.ndarray) -> Tensor:
     area_t = ad.mul(ad.add(tl, tr), ad.add(tt, tb))
     union = ad.sub(ad.add(area_p, area_t), inter)
     iou = ad.div(inter, union)
-    return ad.tsum(ad.sub(Tensor(np.ones(P)), iou))
+    return ad.sub(Tensor(np.ones(P)), iou)
 
 
 def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.ndarray]:
     """Focal classification + IoU box loss, normalized by positive count.
 
     Returns the scalar loss Tensor and per-sample loss values (plain
-    floats, for ranking-based budget strategies).
+    floats, for ranking-based budget strategies): each sample's share of
+    the same elementwise focal and per-positive IoU terms, normalized by
+    its own positive count.
     """
     if pred.num_levels != len(targets.cls_onehot):
         raise UsageError(
@@ -274,10 +274,10 @@ def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.
         logits = pred.cls_logits[level]
         Bc, K, H, W = logits.data.shape
         flat_logits = ad.reshape(ad.transpose(logits, (0, 2, 3, 1)), (Bc, H * W, K))
-        onehot = targets.cls_onehot[level]
-        focal = _focal_term(flat_logits, onehot)
+        focal_elems = _focal_term(flat_logits, targets.cls_onehot[level])
+        focal = ad.neg(ad.tsum(focal_elems))
         total = focal if total is None else ad.add(total, focal)
-        per_sample += _focal_per_sample(flat_logits.data, onehot)
+        per_sample -= focal_elems.data.sum(axis=(1, 2))
 
         pos = targets.pos_mask[level]
         if pos.any():
@@ -287,41 +287,13 @@ def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.
             flat_rows = b_idx * (H * W) + loc_idx
             gather = np.repeat(flat_rows * 4, 4) + np.tile(np.arange(4), flat_rows.size)
             pred_pos = ad.reshape(ad.take(flat_dist, gather), (flat_rows.size, 4))
-            tgt = targets.box_targets[level][pos]
-            iou_term = _iou_loss_term(pred_pos, tgt)
-            total = ad.add(total, iou_term)
-            per_sample_iou = _iou_per_sample(
-                pred_pos.data, tgt, b_idx, B
-            )
-            per_sample += per_sample_iou
+            iou_rows = _iou_loss_term(pred_pos, targets.box_targets[level][pos])
+            total = ad.add(total, ad.tsum(iou_rows))
+            per_sample += np.bincount(b_idx, weights=iou_rows.data, minlength=B)
 
     loss = ad.mul(total, Tensor(1.0 / num_pos))
     pos_per_sample = np.maximum(1, targets.per_sample_positives())
     return loss, per_sample / pos_per_sample
-
-
-def _focal_per_sample(logits: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    x = logits
-    p = 0.5 * (np.tanh(0.5 * x) + 1.0)
-    log_p = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-    log_1mp = np.minimum(-x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-    elem = -(
-        FOCAL_ALPHA * onehot * (1.0 - p) ** 2 * log_p
-        + (1.0 - FOCAL_ALPHA) * (1.0 - onehot) * p**2 * log_1mp
-    )
-    return elem.sum(axis=(1, 2))
-
-
-def _iou_per_sample(pred: np.ndarray, tgt: np.ndarray, b_idx: np.ndarray, B: int) -> np.ndarray:
-    iw = np.minimum(pred[:, 0], tgt[:, 0]) + np.minimum(pred[:, 2], tgt[:, 2])
-    ih = np.minimum(pred[:, 1], tgt[:, 1]) + np.minimum(pred[:, 3], tgt[:, 3])
-    inter = iw * ih
-    area_p = (pred[:, 0] + pred[:, 2]) * (pred[:, 1] + pred[:, 3])
-    area_t = (tgt[:, 0] + tgt[:, 2]) * (tgt[:, 1] + tgt[:, 3])
-    iou = inter / (area_p + area_t - inter)
-    out = np.zeros(B)
-    np.add.at(out, b_idx, 1.0 - iou)
-    return out
 
 
 def total_loss(

@@ -14,7 +14,7 @@ share the interface for strategy comparison.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,23 +47,6 @@ class ScaleIntervals:
             if longest_side <= b:
                 return i
         return len(self.boundaries)
-
-
-@dataclass(frozen=True)
-class BudgetConfig:
-    c0: float
-    strategy: str = "scale_dynamic"
-    loss_buffer_len: int = 100
-
-    def __post_init__(self):
-        if self.c0 <= 0:
-            raise ConfigurationError(f"C0 must be positive, got {self.c0}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown budget strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        if self.loss_buffer_len < 1:
-            raise ConfigurationError("loss_buffer_len must be >= 1")
 
 
 def encode_scales(boxes: list[tuple[float, float]], intervals: ScaleIntervals) -> np.ndarray:

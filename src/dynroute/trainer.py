@@ -22,16 +22,23 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, load_checkpoint, save_checkpoint
+from .config import (
+    TrainConfig,
+    head_from,
+    intervals_from,
+    supernet_spec_from,
+    train_config_from,
+)
 from .costmodel import CostConstants, binary_route_cost, compile_cost_table, network_cost
 from .data_synth import Corpus
-from .errors import ConfigurationError, NumericError, UsageError
+from .errors import NumericError, UsageError
 from .head_loss import (
     DetectionHead,
     LossWeights,
@@ -48,50 +55,8 @@ from .scale_budget import (
     fixed_budget,
     loss_aware_budget,
 )
-from .similarity import SimilarityConfig, local_similarity_loss
-from .supernet import Supernet, SupernetSpec, build_supernet
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 8
-    epochs: int = 12
-    base_lr: float = 0.01
-    lr_drop_epochs: tuple[int, ...] = (8, 11)
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    budget_strategy: str = "scale_dynamic"
-    c0_ratio: float = 0.05
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    seed: int = 0
-    regularizer_warmup_epochs: int = 1
-    ramp_steps: int = 100
-    # dense pretraining epochs before the routed schedule: routers are
-    # bypassed with every gate forced to 1 and only the detection loss
-    # runs. Off by default: at desk scale a converged dense backbone
-    # yields pooled features too uniform for routers to discriminate
-    pretrain_epochs: int = 0
-    loss_buffer_len: int = 100
-    clip_grad_norm: float = 10.0  # 0 disables clipping
-    lr_warmup_steps: int = 50  # linear ramp from base_lr/10; 0 disables
-    router_lr_scale: float = 1.0  # separate effective lr for router params
-    # when False, routers keep the base rate after the weight-schedule
-    # drops (two-optimizer style); annealing with the drops settles the
-    # marginal gates, so following them is the default
-    router_lr_follows_drops: bool = True
-
-    def validate(self) -> None:
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigurationError("batch_size and epochs must be >= 1")
-        if any(e < 1 or e > self.epochs for e in self.lr_drop_epochs):
-            raise ConfigurationError(
-                f"lr_drop_epochs {self.lr_drop_epochs} must lie in [1, {self.epochs}]"
-            )
-        if self.lambda2 > 0 and self.batch_size < 2:
-            raise ConfigurationError("batch_size must be >= 2 when lambda2 > 0")
-        if not (0 < self.c0_ratio <= 1):
-            raise ConfigurationError(f"c0_ratio must be in (0, 1], got {self.c0_ratio}")
+from .similarity import local_similarity_loss
+from .supernet import SupernetSpec, build_supernet
 
 
 class Model:
@@ -128,27 +93,27 @@ class Model:
         self.head.load_state({k: v for k, v in arrays.items() if k.startswith("head.")})
 
 
+def model_from_config(config: dict) -> Model:
+    return Model(
+        spec=supernet_spec_from(config),
+        intervals=intervals_from(config),
+        seed=train_config_from(config).seed,
+        **head_from(config),
+    )
+
+
 class SgdMomentum:
     """SGD with momentum; weight decay skips bias vectors. Router
-    parameters (the architecture controllers) may use a scaled learning
+    parameters (the architecture controllers) take their own learning
     rate, as is common for architecture-vs-weight optimization splits."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        momentum: float,
-        weight_decay: float,
-        router_lr_scale: float = 1.0,
-    ):
+    def __init__(self, params: dict[str, Tensor], momentum: float, weight_decay: float):
         self.params = params
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.router_lr_scale = router_lr_scale
         self.velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def step(self, lr: float, router_lr: float | None = None, clip_grad_norm: float = 0.0) -> None:
-        if router_lr is None:
-            router_lr = lr * self.router_lr_scale
+    def step(self, lr: float, router_lr: float, clip_grad_norm: float = 0.0) -> None:
         if clip_grad_norm > 0:
             total = 0.0
             for p in self.params.values():
@@ -208,6 +173,26 @@ def _batch_images(corpus: Corpus, idxs: np.ndarray) -> Tensor:
     return Tensor(imgs[:, None, :, :])
 
 
+def corpus_cost_table(model: Model, corpus: Corpus) -> CostConstants:
+    """The model's cost table at the corpus's image size."""
+    if len(corpus) == 0:
+        raise UsageError("corpus is empty")
+    size = corpus.images.shape[1]
+    return compile_cost_table(model.spec, size, size)
+
+
+def infer_batches(model: Model, corpus: Corpus, table: CostConstants, batch_size: int = 16):
+    """Run the corpus in order through infer mode, batch by batch.
+
+    Yields (idxs, pyramid, record, costs), costs being each sample's
+    binarized route billed with the table.
+    """
+    for start in range(0, len(corpus), batch_size):
+        idxs = np.arange(start, min(start + batch_size, len(corpus)))
+        pyramid, record = model.supernet.forward(_batch_images(corpus, idxs), mode="infer")
+        yield idxs, pyramid, record, binary_route_cost(record.masks, table)
+
+
 def train(model: Model, config: TrainConfig, corpus: Corpus) -> TrainResult:
     """Optimize the model on the corpus; returns the step log and state.
 
@@ -215,22 +200,15 @@ def train(model: Model, config: TrainConfig, corpus: Corpus) -> TrainResult:
     loss term goes non-finite.
     """
     config.validate()
-    if len(corpus) == 0:
-        raise UsageError("training corpus is empty")
-    size = corpus.images.shape[1]
-    table = compile_cost_table(model.spec, size, size)
+    table = corpus_cost_table(model, corpus)
     c_tot = table.total
     c0 = config.c0_ratio * c_tot
-    m = model.intervals.m
     encodings_all = np.stack(
         [encode_scales(corpus.boxes_hw(i), model.intervals) for i in range(len(corpus))]
     )
 
     params = model.parameters()
-    opt = SgdMomentum(
-        params, config.momentum, config.weight_decay,
-        router_lr_scale=config.router_lr_scale,
-    )
+    opt = SgdMomentum(params, config.momentum, config.weight_decay)
     loss_buffer = LossAwareBudget(c0, config.loss_buffer_len)
     rng = np.random.default_rng(config.seed)
     weights = LossWeights(config.lambda1, config.lambda2)
@@ -268,8 +246,7 @@ def train(model: Model, config: TrainConfig, corpus: Corpus) -> TrainResult:
                 idxs = order[start : start + config.batch_size]
                 warm = _warmup_factor(config, step - pre_step) if config.pretrain_epochs == 0 else 1.0
                 lr = epoch_lr * warm
-                router_base = epoch_lr if config.router_lr_follows_drops else config.base_lr
-                router_lr = router_base * warm * config.router_lr_scale
+                router_lr = epoch_lr * warm * config.router_lr_scale
                 record_losses = _train_step(
                     model, config, corpus, idxs, encodings_all[idxs], table,
                     c_tot, c0, loss_buffer, opt, lr, router_lr, epoch,
@@ -321,7 +298,7 @@ def _train_step(
             l_global = _normalized_budget_loss(cnet, budgets, c_tot)
             if weights.lambda2 > 0:
                 routes = ad.concat([record.gate_tensors[n] for n in record.node_ids], axis=1)
-                l_local = local_similarity_loss(routes, encodings, SimilarityConfig())
+                l_local = local_similarity_loss(routes, encodings, config.similarity)
         l_tot = total_loss(l_det, l_global, l_local, eff_weights, regularizers_active=reg_active)
         tape.backward(l_tot)
 
@@ -350,9 +327,8 @@ def _budget_targets(strategy, encodings, det_per_sample, c0, m, loss_buffer) -> 
         return np.array(
             [loss_aware_budget(loss_buffer, float(v)) for v in det_per_sample]
         )
-    if strategy == "scale_dynamic":
-        return np.array([expected_budget(s, c0, m) for s in encodings])
-    raise ConfigurationError(f"unknown budget strategy {strategy!r}")
+    # scale_dynamic, the one strategy left after TrainConfig.validate
+    return np.array([expected_budget(s, c0, m) for s in encodings])
 
 
 def write_log(log: list[dict], path: str | Path) -> None:
@@ -410,21 +386,15 @@ class EvalSummary:
 
 def evaluate_routing(model: Model, corpus: Corpus, batch_size: int = 16) -> EvalSummary:
     """Binarize routes over the corpus and summarize cost and diversity."""
-    if len(corpus) == 0:
-        raise UsageError("evaluation corpus is empty")
+    table = corpus_cost_table(model, corpus)
     size = corpus.images.shape[1]
-    table = compile_cost_table(model.spec, size, size)
-    c_tot = table.total
 
     costs: list[float] = []
     routes: list[np.ndarray] = []
     patterns: list[tuple[int, ...]] = []
     det_losses: list[float] = []
-    for start in range(0, len(corpus), batch_size):
-        idxs = np.arange(start, min(start + batch_size, len(corpus)))
-        images = _batch_images(corpus, idxs)
-        pyramid, record = model.supernet.forward(images, mode="infer")
-        costs.extend(binary_route_cost(record.masks, table).tolist())
+    for idxs, pyramid, record, batch_costs in infer_batches(model, corpus, table, batch_size):
+        costs.extend(batch_costs.tolist())
         routes.append(record.route_vectors())
         geometry = PyramidGeometry.from_pyramid(pyramid, size, size)
         pred = model.head.forward(pyramid, geometry)
@@ -440,7 +410,7 @@ def evaluate_routing(model: Model, corpus: Corpus, batch_size: int = 16) -> Eval
     arr = np.array(costs)
     return EvalSummary(
         sample_costs=[float(c) for c in costs],
-        total_cost=float(c_tot),
+        total_cost=float(table.total),
         patterns=patterns,
         mean_madds=float(arr.mean()),
         max_madds=float(arr.max()),
@@ -510,8 +480,6 @@ def save_model(path: str | Path, model: Model, run_config: dict) -> None:
 
 
 def load_model(path: str | Path) -> tuple[Model, dict]:
-    from .cli import model_from_config  # config schema lives with the CLI
-
     arrays, meta = load_checkpoint(path)
     run_config = meta.get("config")
     if run_config is None:

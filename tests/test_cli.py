@@ -7,14 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynroute.cli import (
-    DEFAULT_CONFIG,
-    load_config,
-    main,
-    model_from_config,
-    route_to_dot,
-    route_to_svg,
-)
+from dynroute.cli import main, route_to_dot, route_to_svg
+from dynroute.config import load_config, supernet_spec_from
 from dynroute.errors import ConfigurationError
 
 TINY_CONFIG = {
@@ -83,6 +77,27 @@ class TestConfig:
         monkeypatch.setenv("DYNROUTE_SEED", "abc")
         with pytest.raises(ConfigurationError, match="DYNROUTE_SEED"):
             load_config(None)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"train": {"epochs": "abc"}}, "train.epochs"),
+        ({"data": {"scale_mix": 3}}, "data.scale_mix"),
+        ([1, 2], "document"),
+        ({"budget": {"strategy": "nope"}}, "strategy"),
+        ({"train": {"base_lr": -0.01, "momentum": -3}}, "base_lr"),
+    ],
+)
+def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(overrides))
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(path), "--data", str(tmp_path / "corpus"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not out.exists()
 
 
 class TestCommands:
@@ -171,6 +186,18 @@ class TestCommands:
         assert lines[0] == "sample_id,C_net,C_tot,ratio"
         assert lines[-2] == "aggregate,mean,max,min,std"
 
+    def test_cost_report_costs_equal_eval_costs(self, pipeline, tmp_path):
+        args = ["--checkpoint", str(pipeline["run"] / "checkpoint.ckpt"), "--data", str(pipeline["data"])]
+        assert main(["cost-report", *args, "--out", str(tmp_path / "costs.csv")]) == 0
+        assert main(["eval", *args, "--report", str(tmp_path / "report.csv")]) == 0
+
+        def c_net(path, rows):
+            lines = path.read_text().splitlines()
+            header = lines[0].split(",")
+            return [line.split(",")[header.index("C_net")] for line in lines[1 : 1 + rows]]
+
+        assert c_net(tmp_path / "costs.csv", 16) == c_net(tmp_path / "report.csv", 16)
+
     def test_export_route_dot_parses(self, pipeline, tmp_path):
         out = tmp_path / "route.dot"
         code = main([
@@ -213,7 +240,6 @@ class TestCommands:
 class TestDiagramEmitters:
     def _record(self, all_open: bool):
         from dynroute.autodiff import Tensor
-        from dynroute.cli import supernet_spec_from
         from dynroute.supernet import build_supernet
 
         config = load_config(None)

@@ -221,6 +221,32 @@ class TestDetectionLoss:
         want = (focal + iou_total) / max(1, npos)
         assert float(got.data) == pytest.approx(want, rel=1e-10)
 
+    def test_per_sample_values_equal_each_image_alone(self):
+        """Each per-sample value is that image's loss computed on its own."""
+        geometry = _geometry()
+        boxes = [
+            [(20.0, 21.0, 11.0, 10.0, 1)],
+            [],
+            [(2.0, 2.0, 8.0, 7.0, 0), (17.0, 17.0, 14.0, 13.0, 1), (35.0, 3.0, 28.0, 26.0, 0)],
+        ]
+        rng = np.random.default_rng(5)
+        logits = [rng.normal(0.0, 3.0, (3, 2, h, w)) for h, w in geometry.sizes]
+        dists = [np.exp(rng.normal(1.0, 1.0, (3, 4, h, w))) for h, w in geometry.sizes]
+        targets = assign_targets(boxes, geometry, INTERVALS, 2)
+        counts = targets.per_sample_positives()
+        assert counts.tolist() == [1, 0, 3]
+        _, per_sample = detection_loss(
+            DensePrediction([Tensor(a) for a in logits], [Tensor(d) for d in dists]), targets
+        )
+        for b in range(3):
+            alone, _ = detection_loss(
+                DensePrediction(
+                    [Tensor(a[b : b + 1]) for a in logits], [Tensor(d[b : b + 1]) for d in dists]
+                ),
+                assign_targets(boxes[b : b + 1], geometry, INTERVALS, 2),
+            )
+            assert per_sample[b] == pytest.approx(float(alone.data), rel=1e-12, abs=0)
+
     def test_gradient_of_detection_loss(self):
         geometry = PyramidGeometry(image_h=16, image_w=16, sizes=[(2, 2)], strides=[8.0])
         intervals = ScaleIntervals((16.0,))

@@ -8,7 +8,6 @@ import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor
 from dynroute.errors import ConfigurationError, DataError, UsageError
 from dynroute.scale_budget import (
-    BudgetConfig,
     LossAwareBudget,
     ScaleIntervals,
     encode_scales,
@@ -182,10 +181,3 @@ class TestFixedBudget:
     def test_constant(self):
         assert fixed_budget(42.0) == 42.0
         assert fixed_budget(42.0) == fixed_budget(42.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            BudgetConfig(c0=-1.0)
-        with pytest.raises(ConfigurationError):
-            BudgetConfig(c0=1.0, strategy="nope")
-        BudgetConfig(c0=1.0, strategy="fixed")

@@ -1,9 +1,12 @@
 """Training loop behavior: schedules, warmup rules, determinism, eval."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dynroute.data_synth import SynthConfig, generate_corpus
+from dynroute.config import load_config, train_config_from
+from dynroute.data_synth import Corpus, SynthConfig, generate_corpus
 from dynroute.errors import ConfigurationError
 from dynroute.scale_budget import ScaleIntervals
 from dynroute.supernet import SupernetSpec
@@ -127,6 +130,21 @@ class TestTrainingLoop:
         )
         result = train(model, cfg, corpus64)
         assert len(result.log) == 16
+
+    def test_similarity_bounds_reach_local_loss(self, corpus64):
+        """The config's similarity section sets the targets of L_local."""
+        eight = Corpus(images=corpus64.images[:8], annotations=corpus64.annotations[:8])
+        losses = []
+        for max_sim in (0.95, 0.7):
+            config = load_config(None)
+            config["similarity"]["max_sim"] = max_sim
+            cfg = dataclasses.replace(
+                train_config_from(config), epochs=1, lr_drop_epochs=(), seed=3,
+                regularizer_warmup_epochs=0,
+            )
+            (step,) = train(_model(seed=3), cfg, eight).log
+            losses.append(step["L_local"])
+        assert losses[0] > 0 and losses[1] > 0 and losses[0] != losses[1]
 
     def test_distinct_inputs_distinct_gates_after_training(self, corpus64):
         """Routers respond to content once trained with dynamic budgets."""
