@@ -88,6 +88,13 @@ def as_tensor(value) -> Tensor:
     return Tensor(value)
 
 
+def gather_rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
+    """An untracked copy of x's samples at the indices rows, in that order
+    (None: x itself). For tapeless inference: no gradient flows back
+    through it."""
+    return x if rows is None else Tensor(x.data[rows])
+
+
 class _Entry:
     __slots__ = ("out", "inputs", "backward")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import operator
 import os
 from dataclasses import dataclass
 
@@ -186,8 +187,15 @@ def _section(config: dict, name: str, **kinds) -> dict:
     return values
 
 
+def _int(value) -> int:
+    """value as an int; a float or boolean is refused, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -200,8 +208,8 @@ def _scale_mix(mix) -> tuple[tuple[tuple[int, ...], float], ...]:
 
 def supernet_spec_from(config: dict) -> SupernetSpec:
     return SupernetSpec(**_section(
-        config, "supernet", num_layers=int, num_scales=int, channels_per_scale=_ints,
-        gate_threshold=float, head_channels=int, in_channels=int,
+        config, "supernet", num_layers=_int, num_scales=_int, channels_per_scale=_ints,
+        gate_threshold=float, head_channels=_int, in_channels=_int,
     ))
 
 
@@ -211,27 +219,27 @@ def intervals_from(config: dict) -> ScaleIntervals:
 
 def synth_config_from(config: dict) -> SynthConfig:
     data = _section(
-        config, "data", image_size=int, num_images=int, num_classes=int,
-        scale_mix=_scale_mix, noise=float, seed=int, scale_boundaries=_floats,
+        config, "data", image_size=_int, num_images=_int, num_classes=_int,
+        scale_mix=_scale_mix, noise=float, seed=_int, scale_boundaries=_floats,
     )
     return SynthConfig(boundaries=data.pop("scale_boundaries"), **data)
 
 
 def head_from(config: dict) -> dict:
     """num_classes and tower_depth of the detection head."""
-    return _section(config, "head", num_classes=int, tower_depth=int)
+    return _section(config, "head", num_classes=_int, tower_depth=_int)
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    budget = _section(config, "budget", strategy=str, c0_ratio=float, loss_buffer_len=int)
+    budget = _section(config, "budget", strategy=str, c0_ratio=float, loss_buffer_len=_int)
     budget["budget_strategy"] = budget.pop("strategy")
     return TrainConfig(
         **budget,
         **_section(
-            config, "train", batch_size=int, epochs=int, base_lr=float, lr_drop_epochs=_ints,
-            momentum=float, weight_decay=float, lambda1=float, lambda2=float, seed=int,
-            regularizer_warmup_epochs=int, ramp_steps=int, pretrain_epochs=int,
-            clip_grad_norm=float, lr_warmup_steps=int, router_lr_scale=float,
+            config, "train", batch_size=_int, epochs=_int, base_lr=float, lr_drop_epochs=_ints,
+            momentum=float, weight_decay=float, lambda1=float, lambda2=float, seed=_int,
+            regularizer_warmup_epochs=_int, ramp_steps=_int, pretrain_epochs=_int,
+            clip_grad_norm=float, lr_warmup_steps=_int, router_lr_scale=float,
         ),
         similarity=SimilarityConfig(**_section(config, "similarity", min_sim=float, max_sim=float)),
     )

@@ -237,8 +237,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
         if parts[0] != b"P5" or parts[3] != b"255":
             raise DataError(f"{path}: expected binary PGM with maxval 255")
         w, h = int(parts[1]), int(parts[2])
-        return np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w).copy()
-    except ValueError as exc:  # short header or pixel data, non-numeric size
+        if len(blob) - pos != w * h:
+            raise DataError(
+                f"{path}: malformed PGM: {len(blob) - pos} pixel bytes for a {w}x{h} header"
+            )
+        return np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(h, w).copy()
+    except ValueError as exc:  # short header, non-numeric or negative size
         raise DataError(f"{path}: malformed PGM: {exc}") from None
 
 

@@ -6,6 +6,15 @@ logits and four box-edge distances (left, top, right, bottom). Distances
 come out of an exp activation scaled by the level stride, so they are
 always positive.
 
+At inference (no tape recording) the head computes the all-zero rows of
+a pyramid level once. A sample whose route closed every path into a
+scale has all-zero features there; when a level holds at least two such
+samples, the towers and predictors run on the nonzero samples plus one
+zero sample, and every zero sample's logits and distances are copies of
+that sample's. A sample's head arithmetic does not depend on the rest of
+the batch, so the outputs equal the full-batch run bit for bit. Under a
+tape, and at batch 1, the whole batch runs.
+
 Target assignment is interval-based: a box belongs to the pyramid level
 whose object-scale interval contains its longest side, and every
 location of that level whose center falls inside the box is positive
@@ -133,15 +142,20 @@ class DetectionHead:
     def forward(self, pyramid: list[Tensor], geometry: PyramidGeometry) -> DensePrediction:
         cls_logits: list[Tensor] = []
         distances: list[Tensor] = []
+        # with no tape recording no gradient flows through the head, so a
+        # level may share one zero row's outputs among all its zero rows
+        tapeless = ad.active_tape() is None
         for level, feat in enumerate(pyramid):
-            c = self._tower("cls", feat)
-            r = self._tower("reg", feat)
+            runs, source = _shared_zero_rows(feat) if tapeless else (None, None)
+            x = ad.gather_rows(feat, runs)
+            c = self._tower("cls", x)
+            r = self._tower("reg", x)
             logits = self._pred("cls_pred", c)
             raw = self._pred("reg_pred", r)
             # clamp keeps exp finite; +-8 spans 0.0003..3000 strides
             dist = ad.mul(ad.exp(ad.clamp(raw, -8.0, 8.0)), Tensor(geometry.strides[level]))
-            cls_logits.append(logits)
-            distances.append(dist)
+            cls_logits.append(ad.gather_rows(logits, source))
+            distances.append(ad.gather_rows(dist, source))
         return DensePrediction(cls_logits=cls_logits, distances=distances)
 
     def _pred(self, name: str, x: Tensor) -> Tensor:
@@ -154,6 +168,22 @@ class DetectionHead:
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         ad.load_params(self.params, arrays)
+
+
+def _shared_zero_rows(x: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Rows of x to run and, per sample, the row of their output that
+    holds its result, when at least two samples of x are all zero: every
+    nonzero sample runs, the first zero sample stands for the others.
+    (None, None) otherwise: the whole batch runs."""
+    zero = ~x.data.any(axis=(1, 2, 3))
+    if np.count_nonzero(zero) < 2:
+        return None, None
+    first = int(np.argmax(zero))
+    runs = ~zero
+    runs[first] = True
+    source = np.cumsum(runs) - 1
+    source[zero] = source[first]
+    return np.flatnonzero(runs), source
 
 
 @dataclass

@@ -170,14 +170,9 @@ def _standardize_rows(v: Tensor, eps: float = 1e-6) -> Tensor:
     return ad.div(centered, ad.sqrt(ad.add(var, Tensor(eps))))
 
 
-def _rows(x: Tensor, rows: np.ndarray | None) -> Tensor:
-    """The samples of x at the sorted indices rows (None: every sample)."""
-    return x if rows is None else Tensor(x.data[rows])
-
-
 def _scatter_rows(part: Tensor, rows: np.ndarray, batch: int) -> Tensor:
-    """Inverse of _rows: part's samples at the sorted indices rows of a
-    batch, zeros elsewhere.
+    """Inverse of ad.gather_rows: part's samples at the sorted indices
+    rows of a batch, zeros elsewhere.
 
     The result keeps part's memory layout (bilinear upsampling returns a
     transposed one), as the full-batch op would have: reductions over
@@ -358,7 +353,7 @@ class Supernet:
                 runs = None
                 if mode == "infer" and B not in counts:
                     runs = np.flatnonzero(needed.any(axis=1))
-                y = self._sepconv(f"node.{node.layer}.{node.scale}.conv", _rows(x, runs))
+                y = self._sepconv(f"node.{node.layer}.{node.scale}.conv", ad.gather_rows(x, runs))
                 for j, direction in enumerate(("up", "keep", "down")):
                     if counts[j] == 0:
                         continue
@@ -371,7 +366,7 @@ class Supernet:
                     else:
                         sel = np.flatnonzero(needed[:, j])
                         g = Tensor(gates_np[node][sel, j].reshape(-1, 1, 1, 1))
-                        y_sel = _rows(y, sel if runs is None else np.searchsorted(runs, sel))
+                        y_sel = ad.gather_rows(y, sel if runs is None else np.searchsorted(runs, sel))
                         feat = _scatter_rows(ad.mul(self._transform(node, direction, y_sel), g), sel, B)
                     if direction == "keep" and layer == spec.num_layers:
                         last_outputs[scale] = feat

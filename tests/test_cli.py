@@ -87,6 +87,12 @@ class TestConfig:
         ([1, 2], "document"),
         ({"budget": {"strategy": "nope"}}, "strategy"),
         ({"train": {"base_lr": -0.01, "momentum": -3}}, "base_lr"),
+        ({"train": {"epochs": 2.5}}, "train.epochs"),
+        ({"train": {"batch_size": True}}, "train.batch_size"),
+        ({"train": {"lr_drop_epochs": [8.0]}}, "train.lr_drop_epochs"),
+        ({"supernet": {"channels_per_scale": [8, 16, 32, True]}}, "supernet.channels_per_scale"),
+        ({"data": {"scale_mix": [[[1, 0, 0, 1.5], 1.0]]}}, "data.scale_mix"),
+        ({"head": {"tower_depth": False}}, "head.tower_depth"),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):

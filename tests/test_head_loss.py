@@ -77,6 +77,87 @@ class TestHeadForward:
         assert report.passed, str(report)
 
 
+class TestSparseHead:
+    """With no tape recording, a level's all-zero rows run once."""
+
+    BATCH = 6
+
+    def _zeroed_pyramid(self, zero_rows, seed=0):
+        """A batch with zero_rows all-zero samples per level, at
+        different rows on each level."""
+        rng = np.random.default_rng(seed)
+        pyramid = _pyramid(self.BATCH, seed=seed)
+        for t in pyramid:
+            t.data[rng.permutation(self.BATCH)[:zero_rows]] = 0.0
+        return pyramid
+
+    @staticmethod
+    def _count_tower_rows(monkeypatch):
+        rows = []
+        sepconv = ad.depthwise_separable_conv3x3
+
+        def counted(x, *args, **kwargs):
+            rows.append(x.data.shape[0])
+            return sepconv(x, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "depthwise_separable_conv3x3", counted)
+        return rows
+
+    @pytest.mark.parametrize("zero_rows", [0, 1, 2, 5, 6])
+    def test_outputs_equal_full_batch_run(self, monkeypatch, zero_rows):
+        head = DetectionHead(8, num_classes=3, seed=4)
+        pyramid = self._zeroed_pyramid(zero_rows)
+        rows = self._count_tower_rows(monkeypatch)
+        pred = head.forward(pyramid, _geometry())
+        sparse_rows, rows[:] = list(rows), []
+        with Tape():  # a recording tape makes the head run the full batch
+            full = head.forward(pyramid, _geometry())
+        assert rows == [self.BATCH] * len(rows)
+        want = self.BATCH - zero_rows + 1 if zero_rows >= 2 else self.BATCH
+        # two towers of depth 2 per level
+        assert sparse_rows == [want] * (4 * len(pyramid))
+        for got, ref in zip(pred.cls_logits + pred.distances, full.cls_logits + full.distances):
+            assert np.array_equal(got.data, ref.data)
+            assert got.data.strides == ref.data.strides
+
+    def test_levels_decide_separately(self, monkeypatch):
+        head = DetectionHead(8, num_classes=2, seed=1)
+        pyramid = _pyramid(self.BATCH, seed=3)
+        for t, zero_rows in zip(pyramid, ([], [4], [0, 5], [1, 2, 3, 4, 5], [0, 2, 4])):
+            t.data[zero_rows] = 0.0
+        rows = self._count_tower_rows(monkeypatch)
+        pred = head.forward(pyramid, _geometry())
+        # first tower call per level: nonzero rows + 1 from two zero rows on
+        assert rows[::4] == [6, 6, 5, 2, 4]
+        for b in range(self.BATCH):
+            alone = head.forward([Tensor(t.data[b : b + 1]) for t in pyramid], _geometry())
+            for got, ref in zip(pred.cls_logits + pred.distances, alone.cls_logits + alone.distances):
+                assert np.array_equal(got.data[b : b + 1], ref.data)
+
+    def test_tape_runs_full_batch_with_full_batch_gradients(self, monkeypatch):
+        """Plain pyramid Tensors under a tape still train the head's
+        parameters, so the head must not share zero rows there."""
+        pyramid = self._zeroed_pyramid(zero_rows=4, seed=2)
+        grads = []
+        for requires_grad in (True, False):
+            head = DetectionHead(8, num_classes=2, seed=3)
+            inputs = [Tensor(t.data, requires_grad=requires_grad) for t in pyramid]
+            rows = self._count_tower_rows(monkeypatch)
+            with Tape() as tape:
+                pred = head.forward(inputs, _geometry())
+                loss = ad.add(
+                    ad.tsum(ad.concat([ad.reshape(t, (-1,)) for t in pred.cls_logits])),
+                    ad.tsum(ad.concat([ad.reshape(t, (-1,)) for t in pred.distances])),
+                )
+                tape.backward(loss)
+            monkeypatch.undo()
+            assert rows == [self.BATCH] * len(rows)
+            grads.append({k: p.grad for k, p in head.params.items()})
+        for name, grad in grads[0].items():
+            assert grads[1][name] is not None
+            assert np.array_equal(grads[1][name], grad), name
+
+
 class TestAssignTargets:
     def test_single_box_on_single_level(self):
         # max side 12 lands in interval 1 -> level C4 (4x4, stride 16)

@@ -76,11 +76,31 @@ def test_annotations_jsonl(corpus_dir, corruption):
         good.write_bytes(blob)
 
 
+@settings(max_examples=100, deadline=None)
+@given(w=st.integers(1, 40), h=st.integers(1, 40))
+def test_pgm_header_size_must_match_pixel_count(corpus_dir, w, h):
+    """A 16x16 PGM whose header size was rewritten loads only when the
+    new size holds exactly its 256 pixels; any other size, smaller or
+    larger, is a DataError."""
+    blob = (corpus_dir / "corpus" / "images" / "img_00000.pgm").read_bytes()
+    assert blob.startswith(b"P5\n16 16\n255\n")
+    path = corpus_dir / "resized.pgm"
+    path.write_bytes(blob.replace(b"16 16", f"{w} {h}".encode(), 1))
+    if w * h == 16 * 16:
+        assert read_pgm(path).shape == (h, w)
+    else:
+        with pytest.raises(DataError, match="malformed"):
+            read_pgm(path)
+
+
 @pytest.mark.parametrize(
     "name, blob, load, error",
     [
         ("model.ckpt", b"DYNROUTE-CKPT-1\narrays 1\nw 4\nend\n" + bytes(8), ad.load_checkpoint, UsageError),
         ("img.pgm", b"P5\n4 4\n", read_pgm, DataError),
+        pytest.param(
+            "img.pgm", b"P5\n4 3\n255\n" + bytes(16), read_pgm, DataError, id="pgm-16-bytes-for-4x3"
+        ),
     ],
 )
 def test_known_damage_raises_typed_error(tmp_path, name, blob, load, error):

@@ -6,6 +6,7 @@ import pytest
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor
 from dynroute.errors import ConfigurationError, UsageError
+from dynroute.head_loss import DetectionHead, PyramidGeometry
 from dynroute.supernet import (
     NodeId,
     SupernetSpec,
@@ -338,10 +339,17 @@ class TestSampleSparseInfer:
 
     def test_batch_equals_single_sample_calls(self):
         net = build_supernet(DESK_SPEC, seed=5)
+        head = DetectionHead(DESK_SPEC.head_channels, num_classes=2, seed=5)
         imgs = _images(DESK_SPEC, self.BATCH, seed=12)
         for every_sample_node in (None, NodeId(1, 0)):
             forced = self._routes(net, every_sample_node)
             pyramid, record = net.forward(imgs, mode="infer", forced_gates=forced)
+            geometry = PyramidGeometry.from_pyramid(pyramid, *imgs.data.shape[2:])
+            pred = head.forward(pyramid, geometry)
+            # every level has zero rows (sample 0's among them) for the
+            # head to share
+            zero = [~t.data.any(axis=(1, 2, 3)) for t in pyramid]
+            assert all(z[0] and z.sum() >= 2 for z in zero)
             needed = {n: record.masks[n].any(axis=1) for n in net.nodes}
             if every_sample_node is None:
                 assert not any(needed[n][0] for n in net.nodes)
@@ -358,6 +366,11 @@ class TestSampleSparseInfer:
                 )
                 for level, single in zip(pyramid, pyr_b):
                     assert np.array_equal(level.data[b : b + 1], single.data)
+                pred_b = head.forward(pyr_b, geometry)
+                for out, single in zip(
+                    pred.cls_logits + pred.distances, pred_b.cls_logits + pred_b.distances
+                ):
+                    assert np.array_equal(out.data[b : b + 1], single.data)
                 for n in net.nodes:
                     assert np.array_equal(record.gates[n][b : b + 1], rec_b.gates[n])
                     assert np.array_equal(record.masks[n][b : b + 1], rec_b.masks[n])
