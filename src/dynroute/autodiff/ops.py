@@ -6,19 +6,46 @@ the shape arithmetic of standard convolution:
 Depthwise separable 3x3 convolutions use padding 1 in both strides.
 Bilinear upsampling follows the align-corners-false convention: output
 pixel i samples source coordinate (i + 0.5) / 2 - 0.5, clamped at edges.
+
+The channel contraction of a pointwise conv (the forward of conv2d_1x1
+and the pointwise step of depthwise_separable_conv3x3) runs in one of
+two kernels. With no tape active (inference and eval) it is a BLAS
+matmul; under a tape it is np.einsum, so training steps, gradients and
+checkpoints keep the exact rounding they had before the matmul path
+existed. The two differ only in the last bits, well inside the 1e-9
+train/infer tolerance of acceptance criterion 4. Each kernel
+contracts every sample on its own, so a batch equals its batch-1 calls
+bit for bit in either mode. Backward passes and the depthwise taps
+always use the einsum and slice arithmetic.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import ConfigurationError
-from .tensor import Tensor, record
+from .tensor import Tensor, active_tape, record
 
 
 def _require_nchw(name: str, x: Tensor) -> None:
     if x.data.ndim != 4:
         raise ConfigurationError(f"{name}: expected a B,C,H,W tensor, got shape {x.data.shape}")
+
+
+def _pointwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Contract (O, C) weights with (B, C, H, W) features to (B, O, H, W).
+
+    With no tape active this is one BLAS matmul per sample. Under a tape
+    it stays the einsum that training has always used, so a training run
+    rounds as before; the einsum branch goes once the seed-robustness
+    sweep of ROADMAP item 1 lets item 5 move the training kernels.
+    """
+    if active_tape() is not None:
+        return np.einsum("oc,bchw->bohw", w, x)
+    B, C, H, W = x.shape
+    return np.matmul(w, x.reshape(B, C, H * W)).reshape(B, w.shape[0], H, W)
 
 
 def conv2d_1x1(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
@@ -32,7 +59,7 @@ def conv2d_1x1(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
             f"{x.data.shape[1]}"
         )
     xs = x.data[:, :, ::stride, ::stride]
-    out = np.einsum("oc,bchw->bohw", w.data, xs)
+    out = _pointwise(w.data, xs)
     x_shape = x.data.shape
     w_data = w.data
 
@@ -83,7 +110,7 @@ def depthwise_separable_conv3x3(
                 w_dw.data[:, u, v][None, :, None, None]
                 * xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
             )
-    out = np.einsum("oc,bchw->bohw", w_pw.data, t)
+    out = _pointwise(w_pw.data, t)
     if b_pw is not None:
         out = out + b_pw.data[None, :, None, None]
 
@@ -172,13 +199,21 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return record(inputs, out, backward)
 
 
+@lru_cache(maxsize=None)
 def _upsample_axis_coeffs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Source rows (lo, hi) and weights of a 2x upsampled axis of size n.
+
+    Cached per size, so the arrays are read-only.
+    """
     src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
     i0 = np.floor(src).astype(np.intp)
     frac = src - i0
     lo = np.clip(i0, 0, n - 1)
     hi = np.clip(i0 + 1, 0, n - 1)
-    return lo, hi, 1.0 - frac, frac
+    coeffs = (lo, hi, 1.0 - frac, frac)
+    for a in coeffs:
+        a.flags.writeable = False
+    return coeffs
 
 
 def bilinear_upsample_2x(x: Tensor) -> Tensor:

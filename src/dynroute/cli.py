@@ -7,7 +7,9 @@ Subcommands:
     cost-report   per-sample cost CSV for a corpus under a checkpoint
     export-route  DOT or SVG diagram of one image's binarized route
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 usage, configuration, input or file error
+(a missing file, or a directory where a file is expected), 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -273,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, UsageError, DataError, FileNotFoundError) as exc:
+    except (ConfigurationError, UsageError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

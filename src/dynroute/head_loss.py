@@ -12,8 +12,11 @@ scale has all-zero features there; when a level holds at least two such
 samples, the towers and predictors run on the nonzero samples plus one
 zero sample, and every zero sample's logits and distances are copies of
 that sample's. A sample's head arithmetic does not depend on the rest of
-the batch, so the outputs equal the full-batch run bit for bit. Under a
-tape, and at batch 1, the whole batch runs.
+the batch, so the outputs equal those of running each sample alone
+without a tape, bit for bit. Under a tape, and at batch 1, the whole
+batch runs; a taped run contracts channels with einsum instead of
+matmul (see autodiff/ops.py), so it agrees with a tapeless one within
+rounding (acceptance criterion 4).
 
 Target assignment is interval-based: a box belongs to the pyramid level
 whose object-scale interval contains its longest side, and every

@@ -22,7 +22,8 @@ feature scale from growing with the number of open paths (up to 3x per
 layer when every gate is near 1).
 
 Gating is the same in both modes, so train and infer compute the same
-features for any gates:
+features for any gates, within rounding (acceptance criterion 4: without
+a tape the channel contractions run as BLAS matmul, see autodiff/ops.py):
 
 * A path is open for a sample when its gate is at or above the spec
   threshold and its node is live; an open path carries its output scaled

@@ -99,6 +99,83 @@ def test_sepconv_stride2_output_size():
     assert ad.depthwise_separable_conv3x3(x1, w_dw, w_pw, stride=2).data.shape == (1, 5, 1, 1)
 
 
+def _pointwise_case(batch, hw, upsampled, seed=0):
+    """Input and weights for both pointwise convs; an upsampled input is
+    not C-contiguous."""
+    rng = np.random.default_rng(seed)
+    h, w = (hw[0] // 2, hw[1] // 2) if upsampled else hw
+    x = Tensor(rng.normal(size=(batch, 4, h, w)))
+    if upsampled:
+        x = ad.bilinear_upsample_2x(x)
+    shapes = ((6, 4), (4, 3, 3), (5, 4), (5,))
+    return x, [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+def _pointwise_convs(x, params, stride):
+    w, w_dw, w_pw, b = params
+    return (
+        ad.conv2d_1x1(x, w, stride=stride).data,
+        ad.depthwise_separable_conv3x3(x, w_dw, w_pw, b, stride=stride).data,
+    )
+
+
+POINTWISE_CASES = [
+    (batch, hw, upsampled, stride)
+    for batch in (1, 16)
+    for hw, upsampled in (((1, 1), False), ((5, 6), False), ((8, 6), True))
+    for stride in (1, 2)
+]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("upsampled", [False, True])
+def test_taped_pointwise_convs_equal_the_einsum_formula(stride, upsampled):
+    """Training rounds as the einsum does, bit for bit."""
+    x, params = _pointwise_case(3, (6, 8), upsampled)
+    w, w_dw, w_pw, b = (p.data for p in params)
+    with Tape():
+        conv, sep = _pointwise_convs(x, params, stride)
+    want = np.einsum("oc,bchw->bohw", w, x.data[:, :, ::stride, ::stride])
+    assert np.array_equal(conv, want) and conv.strides == want.strides
+    B, C, H, W = x.data.shape
+    xp = np.zeros((B, C, H + 2, W + 2))
+    xp[:, :, 1 : 1 + H, 1 : 1 + W] = x.data
+    oh, ow = (H - 1) // stride + 1, (W - 1) // stride + 1
+    t = np.zeros((B, C, oh, ow))
+    for u in range(3):
+        for v in range(3):
+            tap = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
+            t += w_dw[:, u, v][None, :, None, None] * tap
+    want = np.einsum("oc,bchw->bohw", w_pw, t) + b[None, :, None, None]
+    assert np.array_equal(sep, want) and sep.strides == want.strides
+
+
+@pytest.mark.parametrize("batch,hw,upsampled,stride", POINTWISE_CASES)
+def test_tapeless_pointwise_convs_match_taped_within_rounding(batch, hw, upsampled, stride):
+    x, params = _pointwise_case(batch, hw, upsampled)
+    free = _pointwise_convs(x, params, stride)
+    with Tape():
+        taped = _pointwise_convs(x, params, stride)
+    for got, want in zip(free, taped):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got.flags.c_contiguous
+        # einsum lays its output out like its input: the conv2d_1x1 of an
+        # upsampled map comes out in that map's transposed layout
+        if want.flags.c_contiguous:
+            assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("batch,hw,upsampled,stride", [c for c in POINTWISE_CASES if c[0] > 1])
+def test_tapeless_batch_equals_its_batch1_calls(batch, hw, upsampled, stride):
+    x, params = _pointwise_case(batch, hw, upsampled)
+    full = _pointwise_convs(x, params, stride)
+    for b in range(batch):
+        alone = _pointwise_convs(Tensor(x.data[b : b + 1]), params, stride)
+        for got, want in zip(full, alone):
+            assert np.array_equal(got[b : b + 1], want)
+
+
 def test_shape_mismatch_raises_configuration_error():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     w = Tensor(np.zeros((2, 5)))

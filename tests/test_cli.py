@@ -242,6 +242,29 @@ class TestCommands:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--checkpoint"),
+        ("eval", "--report"),
+        ("export-route", "--image"),
+        ("gen-data", "--config"),
+    ])
+    def test_directory_for_a_file_exit_2(self, pipeline, tmp_path, capsys, command, flag):
+        args = {
+            "eval": {"--checkpoint": str(pipeline["run"] / "checkpoint.ckpt"),
+                     "--data": str(pipeline["data"]), "--report": str(tmp_path / "r.csv")},
+            "export-route": {"--checkpoint": str(pipeline["run"] / "checkpoint.ckpt"),
+                             "--image": str(pipeline["data"] / "images" / "img_00000.pgm"),
+                             "--out": str(tmp_path / "route.dot")},
+            "gen-data": {"--config": str(pipeline["config"]), "--out": str(tmp_path / "corpus")},
+        }[command]
+        args[flag] = str(tmp_path)
+        capsys.readouterr()
+        code = main([command, *(part for item in args.items() for part in item)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestDiagramEmitters:
     def _record(self, all_open: bool):

@@ -116,9 +116,16 @@ class TestSparseHead:
         want = self.BATCH - zero_rows + 1 if zero_rows >= 2 else self.BATCH
         # two towers of depth 2 per level
         assert sparse_rows == [want] * (4 * len(pyramid))
-        for got, ref in zip(pred.cls_logits + pred.distances, full.cls_logits + full.distances):
-            assert np.array_equal(got.data, ref.data)
-            assert got.data.strides == ref.data.strides
+        outputs = pred.cls_logits + pred.distances
+        # tapeless runs match their batch-1 runs bit for bit; the taped run
+        # contracts channels with another kernel, so it matches within rounding
+        for b in range(self.BATCH):
+            alone = head.forward([Tensor(t.data[b : b + 1]) for t in pyramid], _geometry())
+            for got, ref in zip(outputs, alone.cls_logits + alone.distances):
+                assert np.array_equal(got.data[b : b + 1], ref.data)
+                assert got.data[b : b + 1].strides == ref.data.strides
+        for got, ref in zip(outputs, full.cls_logits + full.distances):
+            np.testing.assert_allclose(got.data, ref.data, rtol=1e-12, atol=0)
 
     def test_levels_decide_separately(self, monkeypatch):
         head = DetectionHead(8, num_classes=2, seed=1)
