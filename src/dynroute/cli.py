@@ -77,12 +77,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _output_file(path: str) -> Path:
+    """path as a file to write, its directory made; called before any
+    work so that a path that cannot be a file fails first."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if out.is_dir():
+        raise UsageError(f"output path {out} is a directory, expected a file")
+    return out
+
+
 def cmd_eval(args) -> int:
+    report_path = _output_file(args.report)
     model, _config = trainer.load_model(args.checkpoint)
     corpus = load_corpus(args.data)
     summary = evaluate_routing(model, corpus)
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     with open(report_path, "w", encoding="ascii") as f:
         f.write(summary.to_csv())
     print(summary.human_summary(), end="")
@@ -91,26 +100,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cost_report(args) -> int:
+    out = _output_file(args.out)
     model, _config = trainer.load_model(args.checkpoint)
     corpus = load_corpus(args.data)
     table = corpus_cost_table(model, corpus)
     costs = np.concatenate([c for *_, c in infer_batches(model, corpus, table)]).tolist()
-    report = CostReport(
-        sample_costs=costs,
-        total_cost=table.total,
-        router_madds=table.router_madds,
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    report = CostReport(sample_costs=costs, total_cost=table.total)
     with open(out, "w", encoding="ascii") as f:
         f.write(report.to_csv())
-    print(f"cost report for {len(costs)} samples written to {out}")
+    print(
+        f"cost report for {len(costs)} samples written to {out}; "
+        f"routers (outside C_net): {table.router_madds:.0f} MAdds"
+    )
     return 0
 
 
 def cmd_export_route(args) -> int:
     if args.format not in ("dot", "svg"):
         raise UsageError(f"unknown format {args.format!r}; expected dot or svg")
+    out = _output_file(args.out)
     model, _config = trainer.load_model(args.checkpoint)
     image = read_pgm(args.image).astype(np.float64) / 255.0
     images = Tensor(image[None, None, :, :])
@@ -119,8 +127,6 @@ def cmd_export_route(args) -> int:
         text = route_to_dot(model.spec, record)
     else:
         text = route_to_svg(model.spec, record)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="ascii") as f:
         f.write(text)
     print(f"{args.format} route diagram written to {out}")

@@ -2,8 +2,15 @@
 
 A config is a single JSON document (schema "dynroute-config/1") with
 sections supernet, budget, similarity, head, data, train. Every field
-has a default and unknown keys are rejected. The environment variable
-DYNROUTE_SEED overrides both data and train seeds.
+has a default and unknown keys are rejected, a key that an older
+version accepted included. The train section sets one schedule:
+pretrain_epochs dense epochs (logged as epoch 0), then routed epochs
+numbered from 1, with one learning rate for every parameter (warmup
+ramp, then drops by 10) and the regularizers off for
+regularizer_warmup_epochs, then ramped in. The budget section picks the
+strategy and C0; the loss_aware strategy ranks each loss among the last
+100. The environment variable DYNROUTE_SEED overrides both data and
+train seeds.
 
 load_config merges a file over the defaults and builds every typed
 object from the result, so a bad value fails there, as one
@@ -40,7 +47,6 @@ DEFAULT_CONFIG: dict = {
     "budget": {
         "strategy": "scale_dynamic",
         "c0_ratio": 0.05,
-        "loss_buffer_len": 100,
     },
     "similarity": {"min_sim": 0.6, "max_sim": 0.95},
     "head": {"num_classes": 2, "tower_depth": 2},
@@ -75,7 +81,6 @@ DEFAULT_CONFIG: dict = {
         "pretrain_epochs": 0,
         "clip_grad_norm": 10.0,
         "lr_warmup_steps": 50,
-        "router_lr_scale": 1.0,
     },
 }
 
@@ -100,15 +105,15 @@ class TrainConfig:
     # runs. Off by default: at desk scale a converged dense backbone
     # yields pooled features too uniform for routers to discriminate
     pretrain_epochs: int = 0
-    loss_buffer_len: int = 100
     clip_grad_norm: float = 10.0  # 0 disables clipping
     lr_warmup_steps: int = 50  # linear ramp from base_lr/10; 0 disables
-    router_lr_scale: float = 1.0  # separate effective lr for router params
     similarity: SimilarityConfig = SimilarityConfig()  # bounds of L_local's targets
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("batch_size and epochs must be >= 1")
+        if self.pretrain_epochs < 0:
+            raise ConfigurationError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         if any(e < 1 or e > self.epochs for e in self.lr_drop_epochs):
             raise ConfigurationError(
                 f"lr_drop_epochs {self.lr_drop_epochs} must lie in [1, {self.epochs}]"
@@ -122,8 +127,6 @@ class TrainConfig:
             raise ConfigurationError(
                 f"unknown budget strategy {self.budget_strategy!r}; expected one of {STRATEGIES}"
             )
-        if self.loss_buffer_len < 1:
-            raise ConfigurationError("loss_buffer_len must be >= 1")
         if not self.base_lr > 0:
             raise ConfigurationError(f"base_lr must be positive, got {self.base_lr}")
         if not (0 <= self.momentum < 1):
@@ -231,7 +234,7 @@ def head_from(config: dict) -> dict:
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    budget = _section(config, "budget", strategy=str, c0_ratio=float, loss_buffer_len=_int)
+    budget = _section(config, "budget", strategy=str, c0_ratio=float)
     budget["budget_strategy"] = budget.pop("strategy")
     return TrainConfig(
         **budget,
@@ -239,7 +242,7 @@ def train_config_from(config: dict) -> TrainConfig:
             config, "train", batch_size=_int, epochs=_int, base_lr=float, lr_drop_epochs=_ints,
             momentum=float, weight_decay=float, lambda1=float, lambda2=float, seed=_int,
             regularizer_warmup_epochs=_int, ramp_steps=_int, pretrain_epochs=_int,
-            clip_grad_norm=float, lr_warmup_steps=_int, router_lr_scale=float,
+            clip_grad_norm=float, lr_warmup_steps=_int,
         ),
         similarity=SimilarityConfig(**_section(config, "similarity", min_sim=float, max_sim=float)),
     )

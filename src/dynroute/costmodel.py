@@ -8,7 +8,8 @@ and the network cost is the sum over nodes. Constants count multiplies
 only: a separable 3x3 conv is H*W*C_in*(9 + C_out), a 1x1 conv is
 H_out*W_out*C_in*C_out, identity and bilinear interpolation are free,
 biases are excluded. Router, stem, and head costs stay out of the
-network cost; the router total is reported separately for honesty.
+network cost; CostConstants.router_madds holds the router total, which
+cost-report prints beside its CSV.
 
 The max runs over the node's valid directions only, so when every gate
 of a node is closed its gradient goes to a direction that exists. Gates
@@ -295,7 +296,6 @@ def _accumulate(store: dict[int, list[np.ndarray]], key: int, value: np.ndarray)
 class CostReport:
     sample_costs: list[float]
     total_cost: float
-    router_madds: float
 
     @property
     def mean(self) -> float:

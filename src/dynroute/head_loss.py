@@ -27,8 +27,8 @@ and therefore trains as pure background.
 The detection loss is a sigmoid focal classification term over all
 locations plus an IoU term (1 - IoU) over positives, both normalized by
 the number of positives. The full objective adds the budget and
-path-similarity regularizers with their weights; both regularizers are
-forced to zero while warmup is active.
+path-similarity regularizers with their weights; during the warmup
+epochs the trainer passes neither.
 """
 
 from __future__ import annotations
@@ -334,14 +334,12 @@ def total_loss(
     l_global: Tensor | None,
     l_local: Tensor | None,
     weights: LossWeights,
-    regularizers_active: bool = True,
 ) -> Tensor:
-    """Weighted objective; the regularizers are dropped during warmup."""
+    """Weighted objective; a regularizer passed as None (as during the
+    warmup epochs) is left out."""
     for name, term in (("L_det", l_det), ("L_global", l_global), ("L_local", l_local)):
         if term is not None and not np.isfinite(term.data).all():
             raise NumericError(f"{name} is not finite: {term.data}")
-    if not regularizers_active:
-        return l_det
     out = l_det
     if l_global is not None and weights.lambda1 > 0:
         out = ad.add(out, ad.mul(l_global, Tensor(weights.lambda1)))

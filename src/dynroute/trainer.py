@@ -103,9 +103,7 @@ def model_from_config(config: dict) -> Model:
 
 
 class SgdMomentum:
-    """SGD with momentum; weight decay skips bias vectors. Router
-    parameters (the architecture controllers) take their own learning
-    rate, as is common for architecture-vs-weight optimization splits."""
+    """SGD with momentum; weight decay skips bias vectors."""
 
     def __init__(self, params: dict[str, Tensor], momentum: float, weight_decay: float):
         self.params = params
@@ -113,7 +111,7 @@ class SgdMomentum:
         self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def step(self, lr: float, router_lr: float, clip_grad_norm: float = 0.0) -> None:
+    def step(self, lr: float, clip_grad_norm: float = 0.0) -> None:
         if clip_grad_norm > 0:
             total = 0.0
             for p in self.params.values():
@@ -134,8 +132,7 @@ class SgdMomentum:
             v = self.velocity[name]
             v *= self.momentum
             v += g
-            p_lr = router_lr if ".router." in name else lr
-            p.data = p.data - p_lr * v
+            p.data = p.data - lr * v
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -201,17 +198,13 @@ def train(model: Model, config: TrainConfig, corpus: Corpus) -> TrainResult:
     """
     config.validate()
     table = corpus_cost_table(model, corpus)
-    c_tot = table.total
-    c0 = config.c0_ratio * c_tot
     encodings_all = np.stack(
         [encode_scales(corpus.boxes_hw(i), model.intervals) for i in range(len(corpus))]
     )
 
-    params = model.parameters()
-    opt = SgdMomentum(params, config.momentum, config.weight_decay)
-    loss_buffer = LossAwareBudget(c0, config.loss_buffer_len)
+    opt = SgdMomentum(model.parameters(), config.momentum, config.weight_decay)
+    loss_buffer = LossAwareBudget(config.c0_ratio * table.total)
     rng = np.random.default_rng(config.seed)
-    weights = LossWeights(config.lambda1, config.lambda2)
 
     log: list[dict] = []
     last_good = model.state_arrays()
@@ -219,43 +212,29 @@ def train(model: Model, config: TrainConfig, corpus: Corpus) -> TrainResult:
     steps_after_warmup = 0
     dense_gates = {n: np.ones(3) for n in model.supernet.nodes}
     try:
-        # dense pretraining phase: routers bypassed, detection loss only;
-        # logged with epoch 0 so the routed schedule keeps epochs 1..N
-        pre_step = 0
-        for _ in range(config.pretrain_epochs):
-            order = rng.permutation(len(corpus))
-            for start in range(0, len(order), config.batch_size):
-                idxs = order[start : start + config.batch_size]
-                lr = config.base_lr * _warmup_factor(config, pre_step)
-                record_losses = _train_step(
-                    model, config, corpus, idxs, encodings_all[idxs], table,
-                    c_tot, c0, loss_buffer, opt, lr, lr, epoch=0,
-                    steps_after_warmup=0, weights=weights,
-                    forced_gates=dense_gates,
-                )
-                pre_step += 1
-                step += 1
-                record_losses.update({"step": step, "epoch": 0, "lr": lr})
-                log.append(record_losses)
-            last_good = model.state_arrays()
-
-        for epoch in range(1, config.epochs + 1):
+        # epochs below 1 are the dense pretraining epochs, logged as epoch
+        # 0: routers bypassed, detection loss only, at base_lr. The lr
+        # warmup ramps the dense epochs if there are any, else the first
+        # routed ones.
+        for epoch in range(1 - config.pretrain_epochs, config.epochs + 1):
+            dense = epoch < 1
             epoch_lr = _lr_for_epoch(config, epoch)
             order = rng.permutation(len(corpus))
             for start in range(0, len(order), config.batch_size):
                 idxs = order[start : start + config.batch_size]
-                warm = _warmup_factor(config, step - pre_step) if config.pretrain_epochs == 0 else 1.0
-                lr = epoch_lr * warm
-                router_lr = epoch_lr * warm * config.router_lr_scale
+                if dense or config.pretrain_epochs == 0:
+                    lr = epoch_lr * _warmup_factor(config, step)
+                else:
+                    lr = epoch_lr
                 record_losses = _train_step(
                     model, config, corpus, idxs, encodings_all[idxs], table,
-                    c_tot, c0, loss_buffer, opt, lr, router_lr, epoch,
-                    steps_after_warmup, weights,
+                    loss_buffer, opt, lr, max(epoch, 0), steps_after_warmup,
+                    forced_gates=dense_gates if dense else None,
                 )
-                if epoch > config.regularizer_warmup_epochs:
+                if not dense and epoch > config.regularizer_warmup_epochs:
                     steps_after_warmup += 1
                 step += 1
-                record_losses.update({"step": step, "epoch": epoch, "lr": lr})
+                record_losses.update({"step": step, "epoch": max(epoch, 0), "lr": lr})
                 log.append(record_losses)
             last_good = model.state_arrays()
     except NumericError as exc:
@@ -264,19 +243,17 @@ def train(model: Model, config: TrainConfig, corpus: Corpus) -> TrainResult:
 
 
 def _train_step(
-    model, config, corpus, idxs, encodings, table, c_tot, c0,
-    loss_buffer, opt, lr, router_lr, epoch, steps_after_warmup, weights,
+    model, config, corpus, idxs, encodings, table, loss_buffer, opt, lr, epoch, steps_after_warmup,
     forced_gates=None,
 ) -> dict:
     images = _batch_images(corpus, idxs)
     boxes = [corpus.boxes_xywhc(int(i)) for i in idxs]
     size = corpus.images.shape[1]
-    reg_active = epoch > config.regularizer_warmup_epochs and forced_gates is None
+    c_tot = table.total
+    weights = LossWeights(config.lambda1, config.lambda2)
 
     with Tape() as tape:
-        pyramid, record = model.supernet.forward(
-            images, mode="train", forced_gates=forced_gates
-        )
+        pyramid, record = model.supernet.forward(images, mode="train", forced_gates=forced_gates)
         geometry = PyramidGeometry.from_pyramid(pyramid, size, size)
         pred = model.head.forward(pyramid, geometry)
         targets = assign_targets(boxes, geometry, model.intervals, model.num_classes)
@@ -287,22 +264,21 @@ def _train_step(
 
         l_global = None
         l_local = None
-        eff_weights = weights
-        if reg_active:
+        if epoch > config.regularizer_warmup_epochs and forced_gates is None:
             ramp = min(1.0, (steps_after_warmup + 1) / max(1, config.ramp_steps))
-            eff_weights = LossWeights(weights.lambda1 * ramp, weights.lambda2 * ramp)
+            weights = LossWeights(weights.lambda1 * ramp, weights.lambda2 * ramp)
             budgets = _budget_targets(
-                config.budget_strategy, encodings, det_per_sample, c0, m=model.intervals.m,
-                loss_buffer=loss_buffer,
+                config.budget_strategy, encodings, det_per_sample, config.c0_ratio * c_tot,
+                m=model.intervals.m, loss_buffer=loss_buffer,
             )
             l_global = _normalized_budget_loss(cnet, budgets, c_tot)
-            if weights.lambda2 > 0:
+            if config.lambda2 > 0:
                 routes = ad.concat([record.gate_tensors[n] for n in record.node_ids], axis=1)
                 l_local = local_similarity_loss(routes, encodings, config.similarity)
-        l_tot = total_loss(l_det, l_global, l_local, eff_weights, regularizers_active=reg_active)
+        l_tot = total_loss(l_det, l_global, l_local, weights)
         tape.backward(l_tot)
 
-    opt.step(lr, router_lr=router_lr, clip_grad_norm=config.clip_grad_norm)
+    opt.step(lr, clip_grad_norm=config.clip_grad_norm)
     opt.zero_grad()
     return {
         "L_det": float(l_det.data),

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dynroute import trainer
 from dynroute.cli import main, route_to_dot, route_to_svg
 from dynroute.config import load_config, supernet_spec_from
+from dynroute.costmodel import compile_cost_table
 from dynroute.errors import ConfigurationError
 
 TINY_CONFIG = {
@@ -93,6 +95,10 @@ class TestConfig:
         ({"supernet": {"channels_per_scale": [8, 16, 32, True]}}, "supernet.channels_per_scale"),
         ({"data": {"scale_mix": [[[1, 0, 0, 1.5], 1.0]]}}, "data.scale_mix"),
         ({"head": {"tower_depth": False}}, "head.tower_depth"),
+        ({"train": {"pretrain_epochs": -1}}, "pretrain_epochs"),
+        # keys of removed settings
+        ({"train": {"router_lr_scale": 1.0}}, "train.router_lr_scale"),
+        ({"budget": {"loss_buffer_len": 100}}, "budget.loss_buffer_len"),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):
@@ -181,8 +187,9 @@ class TestCommands:
             ]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_cost_report(self, pipeline, tmp_path):
+    def test_cost_report(self, pipeline, tmp_path, capsys):
         out = tmp_path / "costs.csv"
+        capsys.readouterr()
         code = main([
             "cost-report", "--checkpoint", str(pipeline["run"] / "checkpoint.ckpt"),
             "--data", str(pipeline["data"]), "--out", str(out),
@@ -191,6 +198,10 @@ class TestCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "sample_id,C_net,C_tot,ratio"
         assert lines[-2] == "aggregate,mean,max,min,std"
+        model, _ = trainer.load_model(pipeline["run"] / "checkpoint.ckpt")
+        table = compile_cost_table(model.spec, 64, 64)
+        assert table.router_madds > 0
+        assert f"routers (outside C_net): {table.router_madds:.0f} MAdds" in capsys.readouterr().out
 
     def test_cost_report_costs_equal_eval_costs(self, pipeline, tmp_path):
         args = ["--checkpoint", str(pipeline["run"] / "checkpoint.ckpt"), "--data", str(pipeline["data"])]
@@ -264,6 +275,37 @@ class TestCommands:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--report"),
+        ("cost-report", "--out"),
+        ("export-route", "--out"),
+    ])
+    def test_bad_output_path_exit_2_before_loading(
+        self, pipeline, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        """A directory given as the output file fails before the model loads."""
+        loads = []
+        load_model = trainer.load_model
+
+        def recording_load_model(path):
+            loads.append(path)
+            return load_model(path)
+
+        monkeypatch.setattr(trainer, "load_model", recording_load_model)
+        if command == "export-route":
+            source = ["--image", str(pipeline["data"] / "images" / "img_00000.pgm")]
+        else:
+            source = ["--data", str(pipeline["data"])]
+        capsys.readouterr()
+        code = main([
+            command, "--checkpoint", str(pipeline["run"] / "checkpoint.ckpt"),
+            *source, flag, str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert loads == []
 
 
 class TestDiagramEmitters:

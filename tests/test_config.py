@@ -31,7 +31,7 @@ def test_budget_settings_validated_by_train_config():
 @pytest.mark.parametrize(
     "changes, key",
     [
-        ({"loss_buffer_len": 0}, "loss_buffer_len"),
+        ({"batch_size": 0}, "batch_size"),
         ({"base_lr": 0.0}, "base_lr"),
         ({"base_lr": float("nan")}, "base_lr"),
         ({"momentum": -0.1}, "momentum"),
@@ -57,7 +57,7 @@ def test_similarity_section_reaches_train_config(tmp_path):
         ({"supernet": {"channels_per_scale": [8, "x", 32, 64]}}, "supernet.channels_per_scale"),
         ({"head": {"tower_depth": None}}, "head.tower_depth"),
         ({"data": {"scale_mix": [[[1, 0, 0, 0]]]}}, "data.scale_mix"),
-        ({"budget": {"loss_buffer_len": 0}}, "loss_buffer_len"),
+        ({"budget": {"loss_buffer_len": 100}}, "loss_buffer_len"),  # a removed key
         ({"train": 3}, "config train must be a JSON object"),
     ],
 )

@@ -253,7 +253,7 @@ class TestCostReport:
     def test_csv_shape(self):
         from dynroute.costmodel import CostReport
 
-        report = CostReport(sample_costs=[10.0, 30.0], total_cost=100.0, router_madds=5.0)
+        report = CostReport(sample_costs=[10.0, 30.0], total_cost=100.0)
         csv = report.to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == "sample_id,C_net,C_tot,ratio"

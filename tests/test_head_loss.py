@@ -363,10 +363,8 @@ class TestTotalLoss:
         assert float(out.data) == pytest.approx(0.8)
 
     def test_warmup_negates_regularizers(self):
-        out = total_loss(
-            Tensor(0.5), Tensor(0.3), Tensor(0.4), LossWeights(1.0, 1.0),
-            regularizers_active=False,
-        )
+        """During warmup the trainer passes no regularizer terms."""
+        out = total_loss(Tensor(0.5), None, None, LossWeights(1.0, 1.0))
         assert float(out.data) == 0.5
 
     def test_nan_aborts(self):
