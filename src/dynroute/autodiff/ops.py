@@ -15,8 +15,18 @@ checkpoints keep the exact rounding they had before the matmul path
 existed. The two differ only in the last bits, well inside the 1e-9
 train/infer tolerance of acceptance criterion 4. Each kernel
 contracts every sample on its own, so a batch equals its batch-1 calls
-bit for bit in either mode. Backward passes and the depthwise taps
-always use the einsum and slice arithmetic.
+bit for bit in either mode. Backward passes always use the einsum and
+slice arithmetic.
+
+The depthwise taps of depthwise_separable_conv3x3 have one kernel,
+with or without a tape (_depthwise_taps): one spatial-major padded
+copy (H+2, W+2, B, C) and weights tiled to (3, 3, B, C), then one
+multiply into a reused buffer and one add per tap, both over
+contiguous B*C rows, skipping taps that read only padding. Each
+output sums its products in the textbook (u, v) order from +0, so the
+taps are byte-equal to the nine-slice formula and training rounds as
+it always has. The backward builds its own NCHW padded copy, so the
+tape holds none between forward and backward.
 """
 
 from __future__ import annotations
@@ -46,6 +56,41 @@ def _pointwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.einsum("oc,bchw->bohw", w, x)
     B, C, H, W = x.shape
     return np.matmul(w, x.reshape(B, C, H * W)).reshape(B, w.shape[0], H, W)
+
+
+def _tap_offsets(n: int, n_out: int) -> range:
+    """Offsets of the 3-tap window along an axis of n samples (padding 1,
+    n_out outputs) that read at least one real sample.
+
+    Offset 0 starts on the leading pad and reaches a sample only from the
+    second output on; offset 2 starts on the second sample, which exists
+    only if n > 1.
+    """
+    return range(0 if n_out > 1 else 1, 3 if n > 1 else 2)
+
+
+def _depthwise_taps(x: np.ndarray, w_dw: np.ndarray, stride: int) -> np.ndarray:
+    """3x3 depthwise conv (padding 1) of (B, C, H, W) features by (C, 3, 3)
+    weights, returned C-contiguous as (B, C, oh, ow).
+
+    Skipping a tap that reads only padding changes no bit: with finite
+    weights it would add +-0 to an accumulator that started at +0 and so
+    is +0 or nonzero, never -0.
+    """
+    B, C, H, W = x.shape
+    oh = (H - 1) // stride + 1
+    ow = (W - 1) // stride + 1
+    xp = np.zeros((H + 2, W + 2, B, C))
+    xp[1 : 1 + H, 1 : 1 + W] = x.transpose(2, 3, 0, 1)
+    w = np.empty((3, 3, B, C))
+    w[...] = w_dw.transpose(1, 2, 0)[:, :, None, :]
+    acc = np.zeros((oh, ow, B, C))
+    tmp = np.empty_like(acc)
+    for u in _tap_offsets(H, oh):
+        for v in _tap_offsets(W, ow):
+            np.multiply(w[u, v], xp[u : u + stride * oh : stride, v : v + stride * ow : stride], out=tmp)
+            acc += tmp
+    return np.ascontiguousarray(acc.transpose(2, 3, 0, 1))
 
 
 def conv2d_1x1(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
@@ -98,28 +143,20 @@ def depthwise_separable_conv3x3(
             f"depthwise_separable_conv3x3: pointwise weight {w_pw.data.shape} "
             f"does not match input channels {C}"
         )
-    oh = (H + 2 - 3) // stride + 1
-    ow = (W + 2 - 3) // stride + 1
-    xp = np.zeros((B, C, H + 2, W + 2))
-    xp[:, :, 1 : 1 + H, 1 : 1 + W] = x.data
-
-    t = np.zeros((B, C, oh, ow))
-    for u in range(3):
-        for v in range(3):
-            t += (
-                w_dw.data[:, u, v][None, :, None, None]
-                * xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
-            )
+    t = _depthwise_taps(x.data, w_dw.data, stride)
     out = _pointwise(w_pw.data, t)
     if b_pw is not None:
-        out = out + b_pw.data[None, :, None, None]
+        out += b_pw.data[None, :, None, None]
 
-    w_dw_data, w_pw_data = w_dw.data, w_pw.data
+    x_data, w_dw_data, w_pw_data = x.data, w_dw.data, w_pw.data
+    oh, ow = t.shape[2:]
 
     def backward(g):
         gt = np.einsum("oc,bohw->bchw", w_pw_data, g)
         g_pw = np.einsum("bohw,bchw->oc", g, t)
         g_b = g.sum(axis=(0, 2, 3)) if b_pw is not None else None
+        xp = np.zeros((B, C, H + 2, W + 2))
+        xp[:, :, 1 : 1 + H, 1 : 1 + W] = x_data
         g_dw = np.zeros_like(w_dw_data)
         gxp = np.zeros_like(xp)
         for u in range(3):

@@ -167,9 +167,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(name: str, a: Tensor, b: Tensor) -> None:
+def _broadcasting(name: str, op, a: Tensor, b: Tensor) -> np.ndarray:
+    """op(a.data, b.data), reporting shapes that do not broadcast as a
+    ConfigurationError that names the op and both shapes."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return op(a.data, b.data)
     except ValueError as exc:
         raise ConfigurationError(
             f"{name}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
@@ -182,8 +184,7 @@ def _check_broadcast(name: str, a: Tensor, b: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    out = a.data + b.data
+    out = _broadcasting("add", np.add, a, b)
 
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -192,8 +193,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-    out = a.data - b.data
+    out = _broadcasting("sub", np.subtract, a, b)
 
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
@@ -202,8 +202,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
-    out = a.data * b.data
+    out = _broadcasting("mul", np.multiply, a, b)
     a_data, b_data = a.data, b.data
 
     def backward(g):
@@ -216,8 +215,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
-    out = a.data / b.data
+    out = _broadcasting("div", np.divide, a, b)
     a_data, b_data = a.data, b.data
 
     def backward(g):
@@ -297,8 +295,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("minimum", a, b)
-    take_a = a.data <= b.data  # ties route to the first argument
+    take_a = _broadcasting("minimum", np.less_equal, a, b)  # ties route to the first argument
     out = np.where(take_a, a.data, b.data)
 
     def backward(g):

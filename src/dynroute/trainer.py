@@ -408,11 +408,9 @@ def group_cosine_stats(routes: np.ndarray, patterns: list[tuple[int, ...]]) -> t
     unit = routes / safe[:, None]
     gram = unit @ unit.T
     n = len(patterns)
-    same = np.zeros((n, n), dtype=bool)
-    keys = [tuple(p) for p in patterns]
-    for i in range(n):
-        for j in range(i + 1, n):
-            same[i, j] = keys[i] == keys[j]
+    _, group = np.unique(np.asarray(patterns), axis=0, return_inverse=True)
+    group = group.reshape(n)  # numpy 2.0.0 alone shapes it (n, 1)
+    same = group[:, None] == group[None, :]
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     within_mask = same & upper
     cross_mask = (~same) & upper

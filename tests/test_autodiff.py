@@ -1,10 +1,12 @@
 """Autodiff core: forward oracles, gradient checks, tape semantics."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 import dynroute.autodiff as ad
-from dynroute.autodiff import Tape, Tensor, grad_check
+from dynroute.autodiff import Tape, Tensor, grad_check, ops
 from dynroute.autodiff.tensor import record
 from dynroute.errors import ConfigurationError, UsageError
 
@@ -166,7 +168,10 @@ def test_tapeless_pointwise_convs_match_taped_within_rounding(batch, hw, upsampl
             assert got.strides == want.strides
 
 
-@pytest.mark.parametrize("batch,hw,upsampled,stride", [c for c in POINTWISE_CASES if c[0] > 1])
+@pytest.mark.parametrize(
+    "batch,hw,upsampled,stride",
+    [c for c in POINTWISE_CASES if c[0] > 1] + [(16, (1, 5), False, 1), (16, (4, 1), False, 2)],
+)
 def test_tapeless_batch_equals_its_batch1_calls(batch, hw, upsampled, stride):
     x, params = _pointwise_case(batch, hw, upsampled)
     full = _pointwise_convs(x, params, stride)
@@ -174,6 +179,70 @@ def test_tapeless_batch_equals_its_batch1_calls(batch, hw, upsampled, stride):
         alone = _pointwise_convs(Tensor(x.data[b : b + 1]), params, stride)
         for got, want in zip(full, alone):
             assert np.array_equal(got[b : b + 1], want)
+
+
+def _slice_formula_taps(x, w_dw, stride):
+    """The nine strided-slice multiply-adds of a 3x3 depthwise conv on a
+    zero-padded NCHW copy."""
+    B, C, H, W = x.shape
+    xp = np.zeros((B, C, H + 2, W + 2))
+    xp[:, :, 1 : 1 + H, 1 : 1 + W] = x
+    oh, ow = (H - 1) // stride + 1, (W - 1) // stride + 1
+    t = np.zeros((B, C, oh, ow))
+    for u in range(3):
+        for v in range(3):
+            tap = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
+            t += w_dw[:, u, v][None, :, None, None] * tap
+    return t
+
+
+def _with_signed_zeros(a, rng):
+    """Overwrite about a fifth of a's entries (in place) with +0.0 and -0.0."""
+    a[rng.random(a.shape) < 0.1] = 0.0
+    a[rng.random(a.shape) < 0.1] = -0.0
+    return a
+
+
+def _tap_features(batch, channels, hw, layout, rng):
+    h, w = hw
+    if layout == "c_order":
+        x = rng.normal(size=(batch, channels, h, w))
+    elif layout == "upsampled":  # bilinear_upsample_2x's transposed layout
+        small = Tensor(rng.normal(size=(batch, channels, (h + 1) // 2, (w + 1) // 2)))
+        x = ad.bilinear_upsample_2x(small).data[:, :, :h, :w]
+    else:
+        x = rng.normal(size=(batch, 2 * channels, h + 1, 2 * w))[:, ::2, 1:, ::2]
+    return _with_signed_zeros(x, rng)
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("layout", ["c_order", "upsampled", "sliced"])
+def test_depthwise_taps_equal_the_slice_formula_bytewise(layout, stride, taped):
+    """Same bytes as the nine-slice formula, signs of zero included, with
+    the padding-only taps of one-row, one-column and 2x2 maps skipped."""
+    rng = np.random.default_rng(11)
+    for batch in (1, 3, 16):
+        for channels in (1, 4, 32):
+            for hw in ((1, 1), (1, 5), (4, 1), (2, 2), (5, 6), (8, 8), (7, 9)):
+                x = _tap_features(batch, channels, hw, layout, rng)
+                w_dw = _with_signed_zeros(rng.normal(size=(channels, 3, 3)), rng)
+                w_pw, b = rng.normal(size=(5, channels)), rng.normal(size=5)
+                want_t = _slice_formula_taps(x, w_dw, stride)
+                params = [Tensor(a, requires_grad=True) for a in (w_dw, w_pw, b)]
+                with Tape() if taped else contextlib.nullcontext():
+                    t = ops._depthwise_taps(x, w_dw, stride)
+                    out = ad.depthwise_separable_conv3x3(Tensor(x), *params, stride=stride)
+                    want = ops._pointwise(w_pw, want_t) + b[None, :, None, None]
+                assert t.flags.c_contiguous and t.tobytes() == want_t.tobytes()
+                assert out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "minimum"])
+def test_elementwise_shape_mismatch_names_op_and_shapes(name):
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4,)))
+    with pytest.raises(ConfigurationError, match=rf"^{name}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
+        getattr(ad, name)(a, b)
 
 
 def test_shape_mismatch_raises_configuration_error():

@@ -204,6 +204,38 @@ class TestStatistics:
         assert within == 0.0  # no group has 2 members
         assert cross == pytest.approx(0.0)
 
+    @staticmethod
+    def _group_cosine_loop(routes, patterns):
+        """Reference: the pairwise loop over sample pairs."""
+        norms = np.linalg.norm(routes, axis=1)
+        unit = routes / np.where(norms == 0, 1.0, norms)[:, None]
+        gram = unit @ unit.T
+        n = len(patterns)
+        same = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                same[i, j] = patterns[i] == patterns[j]
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        within, cross = gram[same & upper], gram[~same & upper]
+        return (
+            float(within.mean()) if within.size else 0.0,
+            float(cross.mean()) if cross.size else 0.0,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_group_cosine_equals_the_pairwise_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 48))
+        routes = rng.normal(size=(n, 7))
+        routes[rng.random(n) < 0.1] = 0.0  # zero-norm rows
+        # seed 0: every pattern distinct, so no within-group pair at all
+        bits = np.eye(n, dtype=int) if seed == 0 else rng.integers(0, 2, size=(n, 4))
+        patterns = [tuple(int(v) for v in row) for row in bits]
+        counts = {p: patterns.count(p) for p in patterns}
+        assert seed == 0 or 1 in counts.values()  # single-member groups occur
+        got = group_cosine_stats(routes, patterns)
+        assert got == self._group_cosine_loop(routes, patterns)
+
     def test_spearman_monotone_and_ties(self):
         assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
         assert spearman([1, 2, 3, 4], [40, 30, 20, 10]) == pytest.approx(-1.0)
