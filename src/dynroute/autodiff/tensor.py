@@ -11,6 +11,8 @@ Conventions:
     the first gradient arrives (in the layout of .data)
   * broadcasting in elementwise ops is undone in backward by summing the
     broadcast axes (see _unbroadcast)
+  * take is the one tracked gather: it accepts any numpy index key and
+    returns a copy, never a view
 """
 
 from __future__ import annotations
@@ -390,16 +392,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return record(tuple(tensors), out, backward)
 
 
-def take(a: Tensor, flat_indices: np.ndarray) -> Tensor:
-    """Gather elements of the flattened tensor at fixed integer indices."""
-    idx = np.asarray(flat_indices, dtype=np.intp)
-    out = a.data.reshape(-1)[idx]
+def take(a: Tensor, index) -> Tensor:
+    """a.data[index] for any numpy key, basic or advanced (integers,
+    slices, integer arrays, `...`, None), as a fresh C-ordered copy,
+    never a view of a.
+
+    The backward adds the gradient into zeros of a's shape with
+    np.add.at: positions the key repeats receive the sum of their
+    gradients, and a -0.0 gradient lands as +0.0.
+    """
+    out = np.array(a.data[index], order="C")
     shape = a.data.shape
 
     def backward(g):
-        grad = np.zeros(a.data.size)
-        np.add.at(grad, idx, g.reshape(-1))
-        return (grad.reshape(shape),)
+        grad = np.zeros(shape)
+        np.add.at(grad, index, g)
+        return (grad,)
 
     return record((a,), out, backward)
 

@@ -27,7 +27,7 @@ from .config import load_config, synth_config_from, train_config_from
 from .costmodel import CostReport, binary_route_cost  # noqa: F401
 from .data_synth import generate_corpus, load_corpus, read_pgm, save_corpus
 from .errors import ConfigurationError, DataError, NumericError, UsageError
-from .supernet import NodeId, RouteRecord, SupernetSpec
+from .supernet import DIRECTIONS, NodeId, RouteRecord, SupernetSpec
 from .trainer import (
     TrainingAborted,
     corpus_cost_table,
@@ -137,22 +137,20 @@ def cmd_export_route(args) -> int:
 # diagram emitters
 # ---------------------------------------------------------------------------
 
-_DIRECTION_DELTA = {"up": -1, "keep": 0, "down": 1}
-
-
 def _open_edges(spec: SupernetSpec, record: RouteRecord, sample: int = 0):
-    """Yield (node, direction, gate_value, target_name) for open gates."""
+    """Yield (node, gate_value, receiver) for open gates; the receiver is
+    the NodeId fed, or at the last layer the int output scale."""
     for node in record.node_ids:
         mask = record.masks[node][sample]
         gates = record.gates[node][sample]
-        for j, direction in enumerate(("up", "keep", "down")):
+        for j, (_direction, delta) in enumerate(DIRECTIONS):
             if not mask[j]:
                 continue
             if node.layer == spec.num_layers:
-                target = f"out{node.scale}"
+                receiver = node.scale
             else:
-                target = f"n{node.layer + 1}_{node.scale + _DIRECTION_DELTA[direction]}"
-            yield node, direction, float(gates[j]), target
+                receiver = NodeId(node.layer + 1, node.scale + delta)
+            yield node, float(gates[j]), receiver
 
 
 def _node_open(record: RouteRecord, node: NodeId, sample: int = 0) -> bool:
@@ -177,7 +175,8 @@ def route_to_dot(spec: SupernetSpec, record: RouteRecord, sample: int = 0) -> st
     for s in range(spec.num_scales):
         lines.append(f'  out{s} [shape=box, label="C{3 + s}"];')
     lines.append("  stem -> n1_0;")
-    for node, _direction, gate, target in _open_edges(spec, record, sample):
+    for node, gate, receiver in _open_edges(spec, record, sample):
+        target = f"out{receiver}" if isinstance(receiver, int) else f"n{receiver.layer}_{receiver.scale}"
         lines.append(f'  n{node.layer}_{node.scale} -> {target} [label="{gate:.3f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -202,13 +201,12 @@ def route_to_svg(spec: SupernetSpec, record: RouteRecord, sample: int = 0) -> st
     parts.append(
         f'<line x1="{sx}" y1="{sy}" x2="{x1}" y2="{y1}" stroke="black" stroke-width="1.5"/>'
     )
-    for node, _direction, _gate, target in _open_edges(spec, record, sample):
+    for node, _gate, receiver in _open_edges(spec, record, sample):
         ax, ay = pos(node.layer, node.scale)
-        if target.startswith("out"):
-            bx, by = pos(spec.num_layers + 1, int(target[3:]))
+        if isinstance(receiver, int):
+            bx, by = pos(spec.num_layers + 1, receiver)
         else:
-            t_layer, t_scale = target[1:].split("_")
-            bx, by = pos(int(t_layer), int(t_scale))
+            bx, by = pos(receiver.layer, receiver.scale)
         parts.append(
             f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" stroke="steelblue" '
             f'stroke-width="1.5"/>'

@@ -112,8 +112,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("batch_size and epochs must be >= 1")
-        if self.pretrain_epochs < 0:
-            raise ConfigurationError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        for key in (
+            "weight_decay", "regularizer_warmup_epochs", "ramp_steps", "pretrain_epochs",
+            "clip_grad_norm", "lr_warmup_steps",
+        ):
+            value = getattr(self, key)
+            if not value >= 0:  # NaN fails too
+                raise ConfigurationError(f"{key} must be >= 0, got {value}")
         if any(e < 1 or e > self.epochs for e in self.lr_drop_epochs):
             raise ConfigurationError(
                 f"lr_drop_epochs {self.lr_drop_epochs} must lie in [1, {self.epochs}]"

@@ -38,7 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import UsageError
-from .supernet import NodeId, RouteRecord, Supernet, SupernetSpec, reachable_nodes, valid_directions
+from .supernet import NodeId, Supernet, SupernetSpec, reachable_nodes, valid_directions
 
 
 def sepconv3x3_madds(out_h: int, out_w: int, c_in: int, c_out: int) -> int:
@@ -127,49 +127,32 @@ def node_cost(gates, constants: NodeCost, billed_conv: bool = False) -> Tensor:
     (forward) with the gradient of max(G) * c_conv (backward).
     """
     g = ad.as_tensor(gates)
-    axis = g.data.ndim - 1
     cols = np.flatnonzero(constants.valid)
-    if len(cols) == 3:
-        largest = ad.max_over_vector(g, axis=axis)
-    elif g.data.ndim == 1:
-        largest = ad.max_over_vector(ad.take(g, cols), axis=0)
-    else:
-        rows = g.data.shape[0]
-        flat = (np.arange(rows)[:, None] * 3 + cols[None, :]).ravel()
-        largest = ad.max_over_vector(ad.reshape(ad.take(g, flat), (rows, len(cols))), axis=1)
+    valid = g if len(cols) == 3 else ad.take(g, (..., cols))
+    largest = ad.max_over_vector(valid, axis=-1)
     if billed_conv:
         largest = ad.straight_through(largest, (largest.data > 0).astype(np.float64))
     conv_term = ad.mul(largest, Tensor(constants.c_conv))
-    dir_term = ad.sum_axis(ad.mul(g, Tensor(constants.direction_vector)), axis=axis)
+    dir_term = ad.sum_axis(ad.mul(g, Tensor(constants.direction_vector)), axis=-1)
     return ad.add(conv_term, dir_term)
 
 
 def network_cost(
-    route: RouteRecord | dict[NodeId, Tensor], table: CostConstants, billed_conv: bool = False
+    gate_map: dict[NodeId, Tensor], table: CostConstants, billed_conv: bool = False
 ) -> Tensor:
-    """Sum of node costs over every reachable node; differentiable in gates.
-
-    Accepts a RouteRecord (its open-path gate tensors in train mode, else
-    its recorded gates on open paths) or a plain NodeId -> gate-tensor map.
+    """Sum of node costs over every reachable node, in the map's key
+    order; differentiable in gates. gate_map maps each NodeId to its
+    (B, 3) or (3,) gates, e.g. a train-mode RouteRecord.gate_tensors.
     """
-    if isinstance(route, RouteRecord):
-        if route.gate_tensors is not None:
-            gate_map = route.gate_tensors
-        else:
-            gate_map = {n: route.gates[n] * route.masks[n] for n in route.node_ids}
-        node_ids = route.node_ids
-    else:
-        gate_map = route
-        node_ids = list(route.keys())
     expected = set(table.per_node.keys())
-    if set(node_ids) != expected:
+    if set(gate_map) != expected:
         raise UsageError(
-            f"route covers {len(node_ids)} nodes but the cost table has "
+            f"route covers {len(gate_map)} nodes but the cost table has "
             f"{len(expected)}; spec mismatch"
         )
     total: Tensor | None = None
-    for node in node_ids:
-        c = node_cost(gate_map[node], table.per_node[node], billed_conv=billed_conv)
+    for node, gates in gate_map.items():
+        c = node_cost(gates, table.per_node[node], billed_conv=billed_conv)
         total = c if total is None else ad.add(total, c)
     return total
 

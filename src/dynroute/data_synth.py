@@ -50,6 +50,10 @@ class SynthConfig:
             raise ConfigurationError("generator supports exactly 2 classes (rectangle, disc)")
         if self.image_size < 8:
             raise ConfigurationError("image_size must be >= 8")
+        if self.num_images < 1:
+            raise ConfigurationError(f"num_images must be >= 1, got {self.num_images}")
+        if not self.noise >= 0:
+            raise ConfigurationError(f"noise must be >= 0, got {self.noise}")
         intervals = ScaleIntervals(tuple(float(b) for b in self.boundaries))
         m = intervals.m
         weight_sum = 0.0

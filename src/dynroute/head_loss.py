@@ -42,9 +42,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError, NumericError, UsageError
 from .scale_budget import ScaleIntervals
+from .supernet import kaiming_uniform
 
 FOCAL_ALPHA = 0.25
-FOCAL_GAMMA = 2.0
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ class DetectionHead:
         hc = head_channels
         for branch in ("cls", "reg"):
             for i in range(tower_depth):
-                self._add(f"head.{branch}_tower.{i}.dw_w", self._ku(rng, (hc, 3, 3), 9))
-                self._add(f"head.{branch}_tower.{i}.pw_w", self._ku(rng, (hc, hc), hc))
+                self._add(f"head.{branch}_tower.{i}.dw_w", kaiming_uniform(rng, (hc, 3, 3), 9))
+                self._add(f"head.{branch}_tower.{i}.pw_w", kaiming_uniform(rng, (hc, hc), hc))
                 self._add(f"head.{branch}_tower.{i}.pw_b", np.zeros(hc))
         # near-zero predictor weights keep initial logits at their biases,
         # the usual stabilizer for focal-loss heads without norm layers
@@ -121,11 +121,6 @@ class DetectionHead:
         self._add("head.cls_pred.b", np.full(num_classes, bias))
         self._add("head.reg_pred.w", rng.normal(0.0, 0.01, (4, hc)))
         self._add("head.reg_pred.b", np.zeros(4))
-
-    @staticmethod
-    def _ku(rng, shape, fan_in):
-        bound = float(np.sqrt(6.0 / max(1, fan_in)))
-        return rng.uniform(-bound, bound, size=shape)
 
     def _add(self, name, data):
         self.params[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
@@ -273,7 +268,7 @@ def _focal_term(logits: Tensor, onehot: np.ndarray) -> Tensor:
 def _iou_loss_term(pred_dist: Tensor, target_dist: np.ndarray) -> Tensor:
     """1 - IoU for each row of aligned (P, 4) predicted/target distances."""
     P = target_dist.shape[0]
-    cols = [ad.take(pred_dist, np.arange(P) * 4 + j) for j in range(4)]
+    cols = [ad.take(pred_dist, (slice(None), j)) for j in range(4)]
     tl, tt, tr, tb = [Tensor(target_dist[:, j]) for j in range(4)]
     pl, pt, pr, pb = cols
     iw = ad.add(ad.minimum(pl, tl), ad.minimum(pr, tr))
@@ -314,12 +309,9 @@ def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.
 
         pos = targets.pos_mask[level]
         if pos.any():
-            dist = pred.distances[level]
-            flat_dist = ad.reshape(ad.transpose(dist, (0, 2, 3, 1)), (Bc * H * W, 4))
+            dist = ad.transpose(pred.distances[level], (0, 2, 3, 1))  # (B, H, W, 4)
             b_idx, loc_idx = np.nonzero(pos)
-            flat_rows = b_idx * (H * W) + loc_idx
-            gather = np.repeat(flat_rows * 4, 4) + np.tile(np.arange(4), flat_rows.size)
-            pred_pos = ad.reshape(ad.take(flat_dist, gather), (flat_rows.size, 4))
+            pred_pos = ad.take(dist, (b_idx, *np.divmod(loc_idx, W)))
             iou_rows = _iou_loss_term(pred_pos, targets.box_targets[level][pos])
             total = ad.add(total, ad.tsum(iou_rows))
             per_sample += np.bincount(b_idx, weights=iou_rows.data, minlength=B)

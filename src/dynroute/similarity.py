@@ -79,14 +79,12 @@ def local_similarity_loss(
     if B < 2:
         logger.info("similarity loss skipped: batch of %d has no pairs", B)
         return Tensor(np.float64(0.0))
-    width = routes.data.shape[1]
     m = encodings.shape[1]
+    rows = [ad.take(routes, i) for i in range(B)]
     total: Tensor | None = None
     for i in range(B):
-        r_i = ad.take(routes, i * width + np.arange(width))
         for j in range(i + 1, B):
-            r_j = ad.take(routes, j * width + np.arange(width))
             target = gt_similarity(scale_similarity(encodings[i], encodings[j], m), config)
-            gap = ad.square(ad.sub(path_similarity(r_i, r_j), Tensor(target)))
+            gap = ad.square(ad.sub(path_similarity(rows[i], rows[j]), Tensor(target)))
             total = gap if total is None else ad.add(total, gap)
     return ad.mul(total, Tensor(1.0 / B))

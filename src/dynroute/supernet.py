@@ -63,6 +63,11 @@ from .autodiff import Tensor
 from .errors import ConfigurationError, UsageError
 
 
+# each gate's direction and the scale offset of the node it feeds, in
+# gate column order (up, keep, down)
+DIRECTIONS = (("up", -1), ("keep", 0), ("down", 1))
+
+
 class NodeId(NamedTuple):
     layer: int  # 1-based
     scale: int  # 0 = highest resolution (1/8)
@@ -184,7 +189,8 @@ def _scatter_rows(part: Tensor, rows: np.ndarray, batch: int) -> Tensor:
     return Tensor(full)
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    """Uniform weights in +-sqrt(6 / fan_in), drawn from rng."""
     bound = float(np.sqrt(6.0 / max(1, fan_in)))
     return rng.uniform(-bound, bound, size=shape)
 
@@ -212,31 +218,31 @@ class Supernet:
         ch_in = spec.in_channels
         for i in range(3):
             cin = ch_in if i == 0 else c0
-            self._add(f"stem.{i}.dw_w", _kaiming_uniform(rng, (cin, 3, 3), 9))
-            self._add(f"stem.{i}.pw_w", _kaiming_uniform(rng, (c0, cin), cin))
+            self._add(f"stem.{i}.dw_w", kaiming_uniform(rng, (cin, 3, 3), 9))
+            self._add(f"stem.{i}.pw_w", kaiming_uniform(rng, (c0, cin), cin))
             self._add(f"stem.{i}.pw_b", np.zeros(c0))
         for n in self.nodes:
             c = spec.channels_per_scale[n.scale]
             base = f"node.{n.layer}.{n.scale}"
-            self._add(f"{base}.conv.dw_w", _kaiming_uniform(rng, (c, 3, 3), 9))
-            self._add(f"{base}.conv.pw_w", _kaiming_uniform(rng, (c, c), c))
+            self._add(f"{base}.conv.dw_w", kaiming_uniform(rng, (c, 3, 3), 9))
+            self._add(f"{base}.conv.pw_w", kaiming_uniform(rng, (c, c), c))
             self._add(f"{base}.conv.pw_b", np.zeros(c))
-            self._add(f"{base}.router.conv_w", _kaiming_uniform(rng, (c, c), c))
-            self._add(f"{base}.router.fc_w", _kaiming_uniform(rng, (c, 3), c))
+            self._add(f"{base}.router.conv_w", kaiming_uniform(rng, (c, c), c))
+            self._add(f"{base}.router.fc_w", kaiming_uniform(rng, (c, 3), c))
             # +0.5 pre-activation so training starts with most paths open
             self._add(f"{base}.router.fc_b", np.full(3, 0.5))
             if self.node_masks[n][0]:
                 cu = spec.channels_per_scale[n.scale - 1]
-                self._add(f"{base}.up_w", _kaiming_uniform(rng, (cu, c), c))
+                self._add(f"{base}.up_w", kaiming_uniform(rng, (cu, c), c))
             if self.node_masks[n][2]:
                 cd = spec.channels_per_scale[n.scale + 1]
-                self._add(f"{base}.down_w", _kaiming_uniform(rng, (cd, c), c))
+                self._add(f"{base}.down_w", kaiming_uniform(rng, (cd, c), c))
         hc = spec.head_channels
         for s in range(spec.num_scales):
             cs = spec.channels_per_scale[s]
-            self._add(f"proj.{s}.w", _kaiming_uniform(rng, (hc, cs), cs))
-        self._add("extra.dw_w", _kaiming_uniform(rng, (hc, 3, 3), 9))
-        self._add("extra.pw_w", _kaiming_uniform(rng, (hc, hc), hc))
+            self._add(f"proj.{s}.w", kaiming_uniform(rng, (hc, cs), cs))
+        self._add("extra.dw_w", kaiming_uniform(rng, (hc, 3, 3), 9))
+        self._add("extra.pw_w", kaiming_uniform(rng, (hc, hc), hc))
         self._add("extra.pw_b", np.zeros(hc))
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -355,11 +361,11 @@ class Supernet:
                 if mode == "infer" and B not in counts:
                     runs = np.flatnonzero(needed.any(axis=1))
                 y = self._sepconv(f"node.{node.layer}.{node.scale}.conv", ad.gather_rows(x, runs))
-                for j, direction in enumerate(("up", "keep", "down")):
+                for j, (direction, delta) in enumerate(DIRECTIONS):
                     if counts[j] == 0:
                         continue
                     if mode == "train":
-                        g = ad.reshape(ad.take(open_gates, np.arange(B) * 3 + j), (B, 1, 1, 1))
+                        g = ad.take(open_gates, (slice(None), slice(j, j + 1), None, None))
                         feat = ad.mul(self._transform(node, direction, y), g)
                     elif counts[j] == B:
                         g = Tensor(gates_np[node][:, j].reshape(B, 1, 1, 1))
@@ -372,7 +378,7 @@ class Supernet:
                     if direction == "keep" and layer == spec.num_layers:
                         last_outputs[scale] = feat
                     else:
-                        target = scale + {"up": -1, "keep": 0, "down": 1}[direction]
+                        target = scale + delta
                         next_incoming.setdefault(target, []).append(feat)
                         next_open[target] = next_open.get(target, np.zeros(B)) + open_mask[:, j]
             incoming = next_incoming

@@ -259,7 +259,7 @@ def _train_step(
         targets = assign_targets(boxes, geometry, model.intervals, model.num_classes)
         l_det, det_per_sample = detection_loss(pred, targets)
 
-        cnet = network_cost(record, table, billed_conv=True)
+        cnet = network_cost(record.gate_tensors, table, billed_conv=True)
         mean_ratio = float(np.mean(cnet.data)) / c_tot
 
         l_global = None

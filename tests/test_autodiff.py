@@ -358,6 +358,27 @@ def test_straight_through_rejects_shape_mismatch():
         ad.straight_through(Tensor(np.zeros(3)), np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "index",
+    [
+        (slice(None), slice(1, 2), None, None),
+        (..., np.array([0, 2])),
+        1,
+        (np.array([2, 0, 2]), slice(1, 3)),
+        (slice(None, None, -1), slice(None)),
+    ],
+    ids=["slice_none", "ellipsis_cols", "int", "advanced_then_slice", "reversed"],
+)
+def test_take_returns_a_c_contiguous_copy(index):
+    a = Tensor(np.arange(12.0).reshape(4, 3))
+    before = a.data.copy()
+    out = ad.take(a, index)
+    assert out.data.flags.c_contiguous
+    assert out.data.tobytes() == a.data[index].tobytes()
+    out.data[...] = -1.0
+    assert a.data.tobytes() == before.tobytes()
+
+
 def test_avg_pool_to_upscales_by_replication():
     x = Tensor(np.array([[[[4.0]]]]))
     out = ad.avg_pool_to(x, 2, 2)
@@ -414,7 +435,11 @@ OPS = [
     ("reshape", lambda a: ad.reshape(a, (6, 2)), [(3, 4)], None),
     ("transpose", lambda a: ad.transpose(a, (1, 0, 2)), [(2, 3, 2)], None),
     ("concat", lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)], None),
-    ("take", lambda a: ad.take(a, np.array([0, 3, 3, 5])), [(2, 4)], None),
+    # an advanced key that repeats position (1, 3): its gradients must sum
+    ("take", lambda a: ad.take(a, (np.array([0, 1, 1]), np.array([0, 3, 3]))), [(2, 4)], None),
+    ("take_slice_none", lambda a: ad.take(a, (slice(None), slice(1, 2), None, None)), [(4, 3)], None),
+    ("take_ellipsis_cols_1d", lambda a: ad.take(a, (..., np.array([1, 2]))), [(3,)], None),
+    ("take_ellipsis_cols_2d", lambda a: ad.take(a, (..., np.array([0, 2]))), [(4, 3)], None),
     ("cosine_similarity", ad.cosine_similarity, [(6,), (6,)], None),
     ("identity", lambda a: a, [(3,)], None),
     ("conv2d_1x1", lambda x, w: ad.conv2d_1x1(x, w), [(2, 3, 4, 4), (5, 3)], None),

@@ -99,6 +99,15 @@ class TestConfig:
         # keys of removed settings
         ({"train": {"router_lr_scale": 1.0}}, "train.router_lr_scale"),
         ({"budget": {"loss_buffer_len": 100}}, "budget.loss_buffer_len"),
+        # out-of-range values (new rows go last: the ids above stay put)
+        ({"data": {"num_images": -1}}, "num_images"),
+        ({"data": {"num_images": 0}}, "num_images"),
+        ({"data": {"noise": -0.5}}, "noise"),
+        ({"train": {"weight_decay": -1e-4}}, "weight_decay"),
+        ({"train": {"ramp_steps": -1}}, "ramp_steps"),
+        ({"train": {"clip_grad_norm": -1.0}}, "clip_grad_norm"),
+        ({"train": {"lr_warmup_steps": -1}}, "lr_warmup_steps"),
+        ({"train": {"regularizer_warmup_epochs": -1}}, "regularizer_warmup_epochs"),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):

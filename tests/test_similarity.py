@@ -119,6 +119,35 @@ class TestLocalSimilarityLoss:
         want /= B
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_equals_per_pair_reference_bytewise(self):
+        """Value and routes gradient equal, bit for bit, the sum over pairs
+        that slices both rows afresh for every pair."""
+        rng = np.random.default_rng(11)
+        B, width = 6, 9
+        base = rng.uniform(0, 1, (B, width))
+        base[2] = 0.0  # an all-zero route: its cosines are 0 with zero gradient
+        base[rng.uniform(size=base.shape) < 0.3] = -0.0
+        enc = rng.integers(0, 2, (B, 4))
+
+        def reference(routes):
+            total = None
+            for i in range(B):
+                for j in range(i + 1, B):
+                    target = gt_similarity(scale_similarity(enc[i], enc[j], 4), CFG)
+                    cos = ad.cosine_similarity(ad.take(routes, i), ad.take(routes, j))
+                    gap = ad.square(ad.sub(cos, Tensor(target)))
+                    total = gap if total is None else ad.add(total, gap)
+            return ad.mul(total, Tensor(1.0 / B))
+
+        results = []
+        for fn in (lambda r: local_similarity_loss(r, enc, CFG), reference):
+            r = Tensor(base.copy(), requires_grad=True)
+            with Tape() as tape:
+                loss = fn(r)
+                tape.backward(loss)
+            results.append((loss.data.tobytes(), r.grad.tobytes()))
+        assert results[0] == results[1]
+
     def test_batch_order_invariant(self):
         rng = np.random.default_rng(8)
         routes = rng.uniform(0, 1, (4, 6))
