@@ -10,8 +10,9 @@ pixel i samples source coordinate (i + 0.5) / 2 - 0.5, clamped at edges.
 The channel contraction of a pointwise conv (the forward of conv2d_1x1
 and the pointwise step of depthwise_separable_conv3x3) runs in one of
 two kernels. With no tape active (inference and eval) it is a BLAS
-matmul; under a tape it is np.einsum, so training steps, gradients and
-checkpoints keep the exact rounding they had before the matmul path
+matmul, or for one input channel the outer product that matmul
+computes; under a tape it is np.einsum, so training steps, gradients
+and checkpoints keep the exact rounding they had before the matmul path
 existed. The two differ only in the last bits, well inside the 1e-9
 train/infer tolerance of acceptance criterion 4. Each kernel
 contracts every sample on its own, so a batch equals its batch-1 calls
@@ -27,6 +28,10 @@ output sums its products in the textbook (u, v) order from +0, so the
 taps are byte-equal to the nine-slice formula and training rounds as
 it always has. The backward builds its own NCHW padded copy, so the
 tape holds none between forward and backward.
+
+A conv block (separable conv, bias, ReLU) is one op and one tape entry:
+with relu=True the op clamps its own fresh output in place, byte-equal
+to np.where(x > 0, x, 0.0), and its backward rebuilds the mask from it.
 """
 
 from __future__ import annotations
@@ -47,14 +52,19 @@ def _require_nchw(name: str, x: Tensor) -> None:
 def _pointwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Contract (O, C) weights with (B, C, H, W) features to (B, O, H, W).
 
-    With no tape active this is one BLAS matmul per sample. Under a tape
-    it stays the einsum that training has always used, so a training run
-    rounds as before; the einsum branch goes once the seed-robustness
+    With no tape active this is one BLAS matmul per sample, or at C=1 the
+    outer product it computes (plus 0.0: its sums start at +0). Under a
+    tape it stays the einsum that training has always used, so a training
+    run rounds as before; the einsum branch goes once the seed-robustness
     sweep of ROADMAP item 1 lets item 5 move the training kernels.
     """
     if active_tape() is not None:
         return np.einsum("oc,bchw->bohw", w, x)
     B, C, H, W = x.shape
+    if C == 1:
+        out = w[:, 0, None, None] * x
+        out += 0.0
+        return out
     return np.matmul(w, x.reshape(B, C, H * W)).reshape(B, w.shape[0], H, W)
 
 
@@ -124,8 +134,10 @@ def depthwise_separable_conv3x3(
     w_pw: Tensor,
     b_pw: Tensor | None = None,
     stride: int = 1,
+    relu: bool = False,
 ) -> Tensor:
-    """3x3 depthwise conv (padding 1) followed by a 1x1 pointwise conv.
+    """3x3 depthwise conv (padding 1) followed by a 1x1 pointwise conv,
+    then the bias and, with relu, a ReLU.
 
     w_dw: (C_in, 3, 3); w_pw: (C_out, C_in); b_pw: (C_out,) or None.
     """
@@ -147,11 +159,20 @@ def depthwise_separable_conv3x3(
     out = _pointwise(w_pw.data, t)
     if b_pw is not None:
         out += b_pw.data[None, :, None, None]
+    if relu:
+        # fmax sends NaN to 0 and += 0.0 sends -0.0 to +0.0: the bytes of
+        # np.where(out > 0, out, 0.0)
+        np.fmax(out, 0.0, out=out)
+        out += 0.0
 
     x_data, w_dw_data, w_pw_data = x.data, w_dw.data, w_pw.data
     oh, ow = t.shape[2:]
 
     def backward(g):
+        if relu:
+            # the -0.0s of g * mask reach no .grad: the tape adds 0.0 to
+            # a first gradient and sums the later ones
+            g = g * (out > 0)
         gt = np.einsum("oc,bohw->bchw", w_pw_data, g)
         g_pw = np.einsum("bohw,bchw->oc", g, t)
         g_b = g.sum(axis=(0, 2, 3)) if b_pw is not None else None

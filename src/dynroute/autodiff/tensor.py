@@ -51,32 +51,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; the heavy lifting lives in the module-level ops
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
@@ -269,11 +243,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
         return (g * 0.5 * (np.tanh(-0.5 * x) + 1.0),)
 
     return record((a,), out, backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return record((a,), np.where(mask, a.data, 0.0), lambda g: (g * mask,))
 
 
 def straight_through(a: Tensor, value) -> Tensor:

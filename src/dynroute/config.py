@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -206,18 +207,26 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(_int(v) for v in values)
 
 
+def _float(value) -> float:
+    """value as a float; NaN and infinities are refused."""
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return result
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
 def _scale_mix(mix) -> tuple[tuple[tuple[int, ...], float], ...]:
-    return tuple((_ints(pattern), float(weight)) for pattern, weight in mix)
+    return tuple((_ints(pattern), _float(weight)) for pattern, weight in mix)
 
 
 def supernet_spec_from(config: dict) -> SupernetSpec:
     return SupernetSpec(**_section(
         config, "supernet", num_layers=_int, num_scales=_int, channels_per_scale=_ints,
-        gate_threshold=float, head_channels=_int, in_channels=_int,
+        gate_threshold=_float, head_channels=_int, in_channels=_int,
     ))
 
 
@@ -228,7 +237,7 @@ def intervals_from(config: dict) -> ScaleIntervals:
 def synth_config_from(config: dict) -> SynthConfig:
     data = _section(
         config, "data", image_size=_int, num_images=_int, num_classes=_int,
-        scale_mix=_scale_mix, noise=float, seed=_int, scale_boundaries=_floats,
+        scale_mix=_scale_mix, noise=_float, seed=_int, scale_boundaries=_floats,
     )
     return SynthConfig(boundaries=data.pop("scale_boundaries"), **data)
 
@@ -239,15 +248,15 @@ def head_from(config: dict) -> dict:
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    budget = _section(config, "budget", strategy=str, c0_ratio=float)
+    budget = _section(config, "budget", strategy=str, c0_ratio=_float)
     budget["budget_strategy"] = budget.pop("strategy")
     return TrainConfig(
         **budget,
         **_section(
-            config, "train", batch_size=_int, epochs=_int, base_lr=float, lr_drop_epochs=_ints,
-            momentum=float, weight_decay=float, lambda1=float, lambda2=float, seed=_int,
+            config, "train", batch_size=_int, epochs=_int, base_lr=_float, lr_drop_epochs=_ints,
+            momentum=_float, weight_decay=_float, lambda1=_float, lambda2=_float, seed=_int,
             regularizer_warmup_epochs=_int, ramp_steps=_int, pretrain_epochs=_int,
-            clip_grad_norm=float, lr_warmup_steps=_int,
+            clip_grad_norm=_float, lr_warmup_steps=_int,
         ),
-        similarity=SimilarityConfig(**_section(config, "similarity", min_sim=float, max_sim=float)),
+        similarity=SimilarityConfig(**_section(config, "similarity", min_sim=_float, max_sim=_float)),
     )

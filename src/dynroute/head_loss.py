@@ -1,10 +1,11 @@
 """Anchor-free dense detection head and the combined training objective.
 
 The head runs two small shared-weight towers (classification and box
-regression) over every pyramid level, predicting per-location class
-logits and four box-edge distances (left, top, right, bottom). Distances
-come out of an exp activation scaled by the level stride, so they are
-always positive.
+regression) over every pyramid level, each a stack of conv blocks
+(separable conv, bias and ReLU as one op, as in the supernet),
+predicting per-location class logits and four box-edge distances
+(left, top, right, bottom). Distances come out of an exp activation
+scaled by the level stride, so they are always positive.
 
 At inference (no tape recording) the head computes the all-zero rows of
 a pyramid level once. A sample whose route closed every path into a
@@ -127,13 +128,12 @@ class DetectionHead:
 
     def _tower(self, branch: str, x: Tensor) -> Tensor:
         for i in range(self.tower_depth):
-            x = ad.relu(
-                ad.depthwise_separable_conv3x3(
-                    x,
-                    self.params[f"head.{branch}_tower.{i}.dw_w"],
-                    self.params[f"head.{branch}_tower.{i}.pw_w"],
-                    self.params[f"head.{branch}_tower.{i}.pw_b"],
-                )
+            x = ad.depthwise_separable_conv3x3(
+                x,
+                self.params[f"head.{branch}_tower.{i}.dw_w"],
+                self.params[f"head.{branch}_tower.{i}.pw_w"],
+                self.params[f"head.{branch}_tower.{i}.pw_b"],
+                relu=True,
             )
         return x
 

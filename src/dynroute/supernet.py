@@ -1,12 +1,13 @@
 """Gated multi-scale trellis network with per-node routers.
 
 The network keeps feature maps at up to num_scales resolutions, starting
-at 1/8 of the input after a 3-conv stem. Each (layer, scale) node takes
-the mean of the open paths arriving from the previous layer
-(resolution-up from the scale below, keep from the same scale,
+at 1/8 of the input after a stem of three stride-2 conv blocks. A conv
+block is a 3x3 separable conv, its bias and a ReLU, run as one op with
+one tape entry (relu=True of depthwise_separable_conv3x3). Each (layer,
+scale) node takes the mean of the open paths arriving from the previous
+layer (resolution-up from the scale below, keep from the same scale,
 resolution-down from the scale above), runs a router that emits a 3-way
-gate, and a 3x3 separable conv block whose output is sent along the
-gated directions:
+gate, and a conv block whose output is sent along the gated directions:
 
     up:   1x1 conv to the next-higher resolution's channels, then 2x
           bilinear upsampling
@@ -254,14 +255,13 @@ class Supernet:
     # -- building blocks ----------------------------------------------------
 
     def _sepconv(self, prefix: str, x: Tensor, stride: int = 1) -> Tensor:
-        return ad.relu(
-            ad.depthwise_separable_conv3x3(
-                x,
-                self.params[f"{prefix}.dw_w"],
-                self.params[f"{prefix}.pw_w"],
-                self.params[f"{prefix}.pw_b"],
-                stride=stride,
-            )
+        return ad.depthwise_separable_conv3x3(
+            x,
+            self.params[f"{prefix}.dw_w"],
+            self.params[f"{prefix}.pw_w"],
+            self.params[f"{prefix}.pw_b"],
+            stride=stride,
+            relu=True,
         )
 
     def stem_forward(self, images: Tensor) -> Tensor:

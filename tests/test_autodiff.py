@@ -238,6 +238,80 @@ def test_depthwise_taps_equal_the_slice_formula_bytewise(layout, stride, taped):
                 assert out.data.tobytes() == want.tobytes()
 
 
+def test_one_channel_tapeless_pointwise_equals_the_matmul_bytewise():
+    """C=1 runs as an outer product; its -0.0 products come out as the
+    matmul's +0.0."""
+    rng = np.random.default_rng(5)
+    cases = ((1, (1, 1), False), (3, (4, 1), False), (16, (7, 9), False), (3, (5, 6), True))
+    for batch, (h, w), sliced in cases:
+        if sliced:  # a strided view, as conv2d_1x1 passes at stride 2
+            x = rng.normal(size=(batch, 1, 2 * h, 2 * w))[:, :, ::2, ::2]
+        else:
+            x = rng.normal(size=(batch, 1, h, w))
+        x = _with_signed_zeros(x, rng)
+        x[0, 0, 0, 0] = 0.0
+        weights = _with_signed_zeros(rng.normal(size=(6, 1)), rng)
+        weights[0, 0] = -1.5
+        assert np.any(np.signbit(weights[:, 0, None, None] * x) & (x == 0.0))
+        want = np.matmul(weights, x.reshape(batch, 1, h * w)).reshape(batch, 6, h, w)
+        got = ops._pointwise(weights, x)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def _where_relu(a):
+    """The ReLU op a conv block used to end in: np.where's masked select."""
+    mask = a.data > 0
+    return record((a,), np.where(mask, a.data, 0.0), lambda g: (g * mask,))
+
+
+def _conv_block_case(batch, channels, hw, rng):
+    """Input, weights and bias with signed zeros; one output channel whose
+    pre-activations are all exactly zero; one NaN input at batch 3."""
+    x = _with_signed_zeros(rng.normal(size=(batch, channels, *hw)), rng)
+    if batch == 3:
+        x[2, 0, 0, 0] = np.nan
+    w_dw = _with_signed_zeros(rng.normal(size=(channels, 3, 3)), rng)
+    w_pw = rng.normal(size=(5, channels))
+    w_pw[1] = -0.0
+    b = _with_signed_zeros(rng.normal(size=5), rng)
+    b[1] = -0.0
+    return x, w_dw, w_pw, b
+
+
+def _run_conv_block(arrays, stride, taped, proj, fused):
+    """Output and input gradients (loss: sum of output * proj) of a conv
+    block run as one op (fused) or as relu=False plus _where_relu."""
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() if taped else contextlib.nullcontext() as tape:
+        if fused:
+            out = ad.depthwise_separable_conv3x3(*inputs, stride=stride, relu=True)
+        else:
+            out = _where_relu(ad.depthwise_separable_conv3x3(*inputs, stride=stride))
+        if taped:
+            tape.backward(ad.tsum(ad.mul(out, proj)))
+    return out.data, [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_fused_relu_equals_the_where_relu_op_bytewise(stride):
+    """relu=True gives the bytes of the relu=False op followed by a
+    np.where ReLU op: the output with and without a tape, and the
+    gradients of x, w_dw, w_pw and b_pw."""
+    rng = np.random.default_rng(17)
+    for batch in (1, 3, 16):
+        for channels in (1, 4, 32):
+            for hw in ((1, 1), (1, 5), (4, 1), (8, 8), (7, 9)):
+                arrays = _conv_block_case(batch, channels, hw, rng)
+                oh, ow = ((n - 1) // stride + 1 for n in hw)
+                proj = Tensor(_with_signed_zeros(rng.normal(size=(batch, 5, oh, ow)), rng))
+                for taped in (False, True):
+                    got, got_grads = _run_conv_block(arrays, stride, taped, proj, fused=True)
+                    want, want_grads = _run_conv_block(arrays, stride, taped, proj, fused=False)
+                    assert got.tobytes() == want.tobytes() and not np.any(np.signbit(got))
+                    if taped:
+                        assert all(g.tobytes() == w.tobytes() for g, w in zip(got_grads, want_grads))
+
+
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "minimum"])
 def test_elementwise_shape_mismatch_names_op_and_shapes(name):
     a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4,)))
@@ -399,6 +473,17 @@ def _away_from(*values):
     return predicate
 
 
+def _pre_activations_away_from_zero(stride):
+    """Guard of a conv block with ReLU: resample while a pre-activation
+    lies near the kink at 0."""
+
+    def predicate(datas):
+        pre = ad.depthwise_separable_conv3x3(*(Tensor(d) for d in datas), stride=stride)
+        return bool(np.any(np.abs(pre.data) < _TIE_GUARD))
+
+    return predicate
+
+
 def _pairwise_ties(datas):
     return bool(np.any(np.abs(datas[0] - datas[1]) < _TIE_GUARD))
 
@@ -422,7 +507,6 @@ OPS = [
     ("tanh", ad.tanh, [(7,)], None),
     ("sigmoid", ad.sigmoid, [(7,)], None),
     ("log_sigmoid", ad.log_sigmoid, [(7,)], None),
-    ("relu", ad.relu, [(4, 4)], _away_from(0.0)),
     ("clamp", lambda a: ad.clamp(a, -0.5, 0.5), [(4, 4)], _away_from(-0.5, 0.5)),
     # forward value equal to the input's function, so the identity backward
     # is the true gradient here; test_straight_through_* pin the other case
@@ -455,6 +539,18 @@ OPS = [
         lambda x, dw, pw: ad.depthwise_separable_conv3x3(x, dw, pw, stride=2),
         [(1, 2, 5, 5), (2, 3, 3), (3, 2)],
         None,
+    ),
+    (
+        "sepconv3x3_relu",
+        lambda x, dw, pw, b: ad.depthwise_separable_conv3x3(x, dw, pw, b, relu=True),
+        [(1, 2, 4, 4), (2, 3, 3), (3, 2), (3,)],
+        _pre_activations_away_from_zero(1),
+    ),
+    (
+        "sepconv3x3_s2_relu",
+        lambda x, dw, pw: ad.depthwise_separable_conv3x3(x, dw, pw, stride=2, relu=True),
+        [(1, 2, 5, 5), (2, 3, 3), (3, 2)],
+        _pre_activations_away_from_zero(2),
     ),
     ("avg_pool_to", lambda x: ad.avg_pool_to(x, 2, 2), [(1, 2, 5, 5)], None),
     ("global_avg_pool", ad.global_avg_pool, [(2, 3, 4, 4)], None),

@@ -1,6 +1,7 @@
 """CLI surface: config handling, subcommands, exit codes, exports."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -108,6 +109,16 @@ class TestConfig:
         ({"train": {"clip_grad_norm": -1.0}}, "clip_grad_norm"),
         ({"train": {"lr_warmup_steps": -1}}, "lr_warmup_steps"),
         ({"train": {"regularizer_warmup_epochs": -1}}, "regularizer_warmup_epochs"),
+        # non-finite floats (json.dumps writes them as NaN and Infinity)
+        ({"train": {"lambda1": math.nan}}, "train.lambda1"),
+        ({"train": {"lambda2": math.inf}}, "train.lambda2"),
+        ({"supernet": {"gate_threshold": math.nan}}, "supernet.gate_threshold"),
+        ({"train": {"base_lr": math.inf}}, "train.base_lr"),
+        ({"data": {"noise": math.inf}}, "data.noise"),
+        ({"train": {"weight_decay": math.inf}}, "train.weight_decay"),
+        ({"train": {"clip_grad_norm": math.inf}}, "train.clip_grad_norm"),
+        ({"data": {"scale_boundaries": [8, math.nan, 32]}}, "data.scale_boundaries"),
+        ({"data": {"scale_mix": [[[1, 0, 0, 0], math.nan]]}}, "data.scale_mix"),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):

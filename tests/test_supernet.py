@@ -400,10 +400,10 @@ class TestSampleSparseInfer:
         rows = {"block": 0, 0: 0, 2: 0}
         sepconv, conv1x1 = ad.depthwise_separable_conv3x3, ad.conv2d_1x1
 
-        def counted_sepconv(x, w_dw, w_pw, b_pw=None, stride=1):
+        def counted_sepconv(x, w_dw, w_pw, b_pw=None, stride=1, **kwargs):
             if id(w_pw) in block:
                 rows["block"] += x.data.shape[0]
-            return sepconv(x, w_dw, w_pw, b_pw, stride=stride)
+            return sepconv(x, w_dw, w_pw, b_pw, stride=stride, **kwargs)
 
         def counted_conv1x1(x, w, stride=1):
             if id(w) in transform:
