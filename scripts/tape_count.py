@@ -12,6 +12,10 @@ the regularizers join in the second epoch. It prints, per epoch:
     <op>        the tape entries per step that op recorded, named after
                 the function that called record, as perfbench names
                 backward time; the rows sum to tape/step
+    by module   then the same entries by the dynroute module whose code
+                called the op (supernet, costmodel, scale_budget,
+                similarity, head_loss, trainer); these rows also sum to
+                tape/step
 
 Every step has its own tape, so these are exact counts over a fixed set
 of steps: two commits that record the same entries print the same
@@ -43,13 +47,25 @@ NUM_IMAGES = 128
 EPOCHS = 2
 
 
+def _calling_module(frame) -> str:
+    """The first dynroute module outside autodiff up the call stack from
+    frame, without its package prefix."""
+    while frame is not None:
+        name = frame.f_globals.get("__name__", "")
+        if name.startswith("dynroute.") and not name.startswith("dynroute.autodiff"):
+            return name[len("dynroute."):]
+        frame = frame.f_back
+    return "other"
+
+
 class _Counter:
     """Wraps record and Tape.backward: per tape, its length when backward
-    starts and its entries by recording op."""
+    starts, its entries by recording op and by calling module."""
 
     def __init__(self):
-        self.tapes: list[tuple[int, Counter]] = []
-        self._current: Counter = Counter()
+        self.tapes: list[tuple[int, Counter, Counter]] = []
+        self._ops: Counter = Counter()
+        self._modules: Counter = Counter()
         orig_record = ad_tensor.record
         orig_backward = ad.Tape.backward
 
@@ -58,12 +74,14 @@ class _Counter:
             before = len(tape) if tape is not None else 0
             out = orig_record(inputs, out_data, backward)
             if tape is not None and len(tape) > before:
-                self._current[sys._getframe(1).f_code.co_name] += 1
+                op = sys._getframe(1)
+                self._ops[op.f_code.co_name] += 1
+                self._modules[_calling_module(op.f_back)] += 1
             return out
 
         def counting_backward(tape, loss):
-            self.tapes.append((len(tape), self._current))
-            self._current = Counter()
+            self.tapes.append((len(tape), self._ops, self._modules))
+            self._ops, self._modules = Counter(), Counter()
             return orig_backward(tape, loss)
 
         ad_tensor.record = ad_ops.record = counting_record
@@ -84,21 +102,32 @@ def main() -> int:
     epochs = sorted({rec["epoch"] for rec in log})
     lengths: dict[int, list[int]] = defaultdict(list)
     ops: dict[int, Counter] = defaultdict(Counter)
-    for rec, (n, counts) in zip(log, counter.tapes):
+    modules: dict[int, Counter] = defaultdict(Counter)
+    for rec, (n, op_counts, module_counts) in zip(log, counter.tapes):
         lengths[rec["epoch"]].append(n)
-        ops[rec["epoch"]].update(counts)
-    total = sum(ops.values(), Counter())
-    names = sorted(total, key=lambda op: (-total[op], op))
-    width = max(len(op) for op in names + ["tape/step"])
+        ops[rec["epoch"]].update(op_counts)
+        modules[rec["epoch"]].update(module_counts)
+
+    def by_count(counts: dict[int, Counter]) -> list[str]:
+        total = sum(counts.values(), Counter())
+        return sorted(total, key=lambda name: (-total[name], name))
+
+    op_names, module_names = by_count(ops), by_count(modules)
+    width = max(len(name) for name in op_names + module_names + ["tape/step"])
 
     def row(label, values):
         print(f"{label:<{width}}" + "".join(f"{v:>12}" for v in values))
 
+    def per_step(counts: dict[int, Counter], names: list[str]) -> None:
+        for name in names:
+            row(name, [f"{counts[e][name] / len(lengths[e]):.2f}" for e in epochs])
+
     row("epoch", epochs)
     row("steps", [len(lengths[e]) for e in epochs])
     row("tape/step", [f"{sum(lengths[e]) / len(lengths[e]):.2f}" for e in epochs])
-    for op in names:
-        row(op, [f"{ops[e][op] / len(lengths[e]):.2f}" for e in epochs])
+    per_step(ops, op_names)
+    print("by module")
+    per_step(modules, module_names)
     return 0
 
 

@@ -245,16 +245,18 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return record((a,), out, backward)
 
 
-def straight_through(a: Tensor, value) -> Tensor:
+def straight_through(a: Tensor, value, passes: np.ndarray | None = None) -> Tensor:
     """Forward `value` (same shape as a); backward passes the gradient to
-    a unchanged, as if the op were the identity (straight-through)."""
+    a as if the op were the identity (straight-through), or, given a
+    boolean array `passes` that broadcasts to a's shape, as g * passes."""
     value = np.asarray(value, dtype=np.float64)
     if value.shape != a.data.shape:
         raise ConfigurationError(
             f"straight_through: value shape {value.shape} differs from input "
             f"shape {a.data.shape}"
         )
-    return record((a,), value, lambda g: (g,))
+    backward = (lambda g: (g,)) if passes is None else (lambda g: (g * passes,))
+    return record((a,), value, backward)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:

@@ -10,7 +10,8 @@ ramp, then drops by 10) and the regularizers off for
 regularizer_warmup_epochs, then ramped in. The budget section picks the
 strategy and C0; the loss_aware strategy ranks each loss among the last
 100. The environment variable DYNROUTE_SEED overrides both data and
-train seeds.
+train seeds. Images have one channel and objects two classes
+(data_synth.NUM_CLASSES); neither is a setting.
 
 load_config merges a file over the defaults and builds every typed
 object from the result, so a bad value fails there, as one
@@ -43,18 +44,16 @@ DEFAULT_CONFIG: dict = {
         "channels_per_scale": [8, 16, 32, 64],
         "gate_threshold": 1e-4,
         "head_channels": 32,
-        "in_channels": 1,
     },
     "budget": {
         "strategy": "scale_dynamic",
         "c0_ratio": 0.05,
     },
     "similarity": {"min_sim": 0.6, "max_sim": 0.95},
-    "head": {"num_classes": 2, "tower_depth": 2},
+    "head": {"tower_depth": 2},
     "data": {
         "image_size": 64,
         "num_images": 512,
-        "num_classes": 2,
         "noise": 0.02,
         "seed": 7,
         "scale_boundaries": [8, 16, 32],
@@ -224,9 +223,10 @@ def _scale_mix(mix) -> tuple[tuple[tuple[int, ...], float], ...]:
 
 
 def supernet_spec_from(config: dict) -> SupernetSpec:
-    return SupernetSpec(**_section(
+    """The trellis spec; its input is a one-channel (PGM) image."""
+    return SupernetSpec(in_channels=1, **_section(
         config, "supernet", num_layers=_int, num_scales=_int, channels_per_scale=_ints,
-        gate_threshold=_float, head_channels=_int, in_channels=_int,
+        gate_threshold=_float, head_channels=_int,
     ))
 
 
@@ -236,15 +236,15 @@ def intervals_from(config: dict) -> ScaleIntervals:
 
 def synth_config_from(config: dict) -> SynthConfig:
     data = _section(
-        config, "data", image_size=_int, num_images=_int, num_classes=_int,
-        scale_mix=_scale_mix, noise=_float, seed=_int, scale_boundaries=_floats,
+        config, "data", image_size=_int, num_images=_int, scale_mix=_scale_mix,
+        noise=_float, seed=_int, scale_boundaries=_floats,
     )
     return SynthConfig(boundaries=data.pop("scale_boundaries"), **data)
 
 
 def head_from(config: dict) -> dict:
-    """num_classes and tower_depth of the detection head."""
-    return _section(config, "head", num_classes=_int, tower_depth=_int)
+    """tower_depth of the detection head."""
+    return _section(config, "head", tower_depth=_int)
 
 
 def train_config_from(config: dict) -> TrainConfig:

@@ -197,13 +197,18 @@ class _Counter:
 
 
 def _upsample2x_plain(x: np.ndarray) -> np.ndarray:
-    c, h, w = x.shape
-    from .autodiff.ops import _upsample_axis_coeffs
-
-    r0, r1, wr0, wr1 = _upsample_axis_coeffs(h)
-    c0, c1, wc0, wc1 = _upsample_axis_coeffs(w)
-    tmp = x[:, r0, :] * wr0[:, None] + x[:, r1, :] * wr1[:, None]
-    return tmp[:, :, c0] * wc0 + tmp[:, :, c1] * wc1
+    """2x bilinear upsampling of (C, H, W), align corners false, derived
+    here and not from the executor's coefficients: output i of an axis
+    of n samples reads source position (i + 0.5) / 2 - 0.5, clamped to
+    [0, n - 1], between the samples at its floor and its ceiling."""
+    for axis in (1, 2):
+        n = x.shape[axis]
+        pos = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
+        below = np.floor(pos).astype(np.intp)
+        above = np.minimum(below + 1, n - 1)
+        frac = (pos - below).reshape((-1, 1) if axis == 1 else (-1,))
+        x = np.take(x, below, axis=axis) * (1.0 - frac) + np.take(x, above, axis=axis) * frac
+    return x
 
 
 def count_executed_madds(

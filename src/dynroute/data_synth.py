@@ -14,6 +14,7 @@ one record per image, {"image_id": int, "boxes": [[x, y, w, h, class]]}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,13 +33,13 @@ DEFAULT_SCALE_MIX: tuple[tuple[tuple[int, ...], float], ...] = (
 )
 
 BACKGROUND = 0.08
+NUM_CLASSES = 2  # rectangle, disc
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     image_size: int = 64
     num_images: int = 512
-    num_classes: int = 2
     scale_mix: tuple[tuple[tuple[int, ...], float], ...] = DEFAULT_SCALE_MIX
     noise: float = 0.02
     seed: int = 7
@@ -46,8 +47,6 @@ class SynthConfig:
     shapes_per_interval: int = 2  # draw 1..this many objects per occupied interval
 
     def validate(self) -> ScaleIntervals:
-        if self.num_classes != 2:
-            raise ConfigurationError("generator supports exactly 2 classes (rectangle, disc)")
         if self.image_size < 8:
             raise ConfigurationError("image_size must be >= 8")
         if self.num_images < 1:
@@ -151,7 +150,7 @@ def _render_image(rng, pattern, intervals, size, noise, shapes_per_interval):
         count = int(rng.integers(1, shapes_per_interval + 1))
         for _ in range(count):
             side = int(rng.integers(lo, hi + 1))
-            cls_id = int(rng.integers(0, 2))
+            cls_id = int(rng.integers(0, NUM_CLASSES))
             if cls_id == 0:
                 # longest rectangle side is the sampled one, so the box
                 # stays inside the intended interval by construction
@@ -260,6 +259,19 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _check_box(box, image_id) -> None:
+    """Raise ValueError unless box is [x, y, w, h, class] of finite, non-
+    boolean numbers, w and h above 0, and an int class < NUM_CLASSES."""
+    if len(box) != 5 or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in box
+    ):
+        raise ValueError(f"box {box} of image {image_id} is not [x, y, w, h, class] of finite numbers")
+    if not (box[2] > 0 and box[3] > 0):
+        raise ValueError(f"box {box} of image {image_id} has a side <= 0")
+    if not (isinstance(box[4], int) and 0 <= box[4] < NUM_CLASSES):
+        raise ValueError(f"box {box} of image {image_id} has a class outside 0..{NUM_CLASSES - 1}")
+
+
 def load_corpus(dir_path: str | Path) -> Corpus:
     root = Path(dir_path)
     ann_path = root / "annotations.jsonl"
@@ -270,9 +282,10 @@ def load_corpus(dir_path: str | Path) -> Corpus:
             annotations = [json.loads(line) for line in f if line.strip()]
         names = [f"img_{rec['image_id']:05d}.pgm" for rec in annotations]
         for rec in annotations:
-            if not all(len(b) == 5 and all(isinstance(v, (int, float)) for v in b) for b in rec["boxes"]):
-                raise ValueError(f"boxes of image {rec['image_id']} are not [x, y, w, h, class]")
-    except (KeyError, TypeError, ValueError) as exc:  # not ASCII, not JSON, not a record
+            for box in rec["boxes"]:
+                _check_box(box, rec["image_id"])
+    # not ASCII, not JSON, not a record or box, or an int too large for a float
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{ann_path}: malformed annotations: {exc!r}") from None
     images = []
     for name in names:

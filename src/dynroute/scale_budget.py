@@ -62,15 +62,13 @@ def encode_scales(boxes: list[tuple[float, float]], intervals: ScaleIntervals) -
     return s
 
 
-def expected_budget(s: np.ndarray, c0: float, m: int, floor_empty: bool = True) -> float:
+def expected_budget(s: np.ndarray, c0: float, m: int) -> float:
     """C0 * sum(S) / m; images with no boxes get a one-interval floor."""
     s = np.asarray(s)
     if s.shape != (m,):
         raise UsageError(f"scale encoding has shape {s.shape}, expected ({m},)")
     occupied = int(s.sum())
-    if occupied == 0 and floor_empty:
-        occupied = 1
-    return c0 * occupied / m
+    return c0 * max(occupied, 1) / m
 
 
 def global_budget_loss(c_net, c_expect) -> Tensor:
@@ -83,18 +81,14 @@ def global_budget_loss(c_net, c_expect) -> Tensor:
     return ad.mean(ad.square(gap))
 
 
-def fixed_budget(c0: float) -> float:
-    """Every sample gets the same expected budget."""
-    return c0
-
-
 class LossAwareBudget:
     """Rank the current detection loss in a FIFO buffer of recent losses
-    and map the rank linearly onto [C0, 4*C0]."""
+    and map the rank linearly onto [C0, 4*C0]. The buffer holds the last
+    100 losses."""
 
-    def __init__(self, c0: float, buffer_len: int = 100):
+    def __init__(self, c0: float):
         self.c0 = c0
-        self.buffer: deque[float] = deque(maxlen=buffer_len)
+        self.buffer: deque[float] = deque(maxlen=100)
 
     def budget_for(self, current_loss: float) -> float:
         if not self.buffer:

@@ -51,11 +51,6 @@ def scale_similarity(s_i: np.ndarray, s_j: np.ndarray, m: int | None = None) -> 
     return float(agree) / m
 
 
-def path_similarity(r_i: Tensor, r_j: Tensor) -> Tensor:
-    """Cosine similarity of two route vectors (0 when either is all zero)."""
-    return ad.cosine_similarity(r_i, r_j)
-
-
 def gt_similarity(sim_scale: float, config: SimilarityConfig) -> float:
     """Linear map of a [0,1] scale similarity into [min_sim, max_sim]."""
     return sim_scale * (config.max_sim - config.min_sim) + config.min_sim
@@ -85,6 +80,6 @@ def local_similarity_loss(
     for i in range(B):
         for j in range(i + 1, B):
             target = gt_similarity(scale_similarity(encodings[i], encodings[j], m), config)
-            gap = ad.square(ad.sub(path_similarity(rows[i], rows[j]), Tensor(target)))
+            gap = ad.square(ad.sub(ad.cosine_similarity(rows[i], rows[j]), Tensor(target)))
             total = gap if total is None else ad.add(total, gap)
     return ad.mul(total, Tensor(1.0 / B))

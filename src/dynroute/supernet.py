@@ -47,8 +47,11 @@ The router pools its input, mixes channels, and standardizes the pooled
 vector of each sample (zero mean, unit variance over channels) before
 the 3-way dense layer, so its gates do not depend on the overall scale
 of the features, only on their channel pattern. Its gate is
-max(0, tanh(logit)) with a straight-through backward at zero: a closed
-gate keeps the tanh gradient, so the budget can open it again when a
+max(0, tanh(logit)), boundary-masked; forced gates (numpy arrays) replace
+it and take no gradient. In train mode a node's gate and masks are one
+straight-through op on the tanh: it forwards the open gates and passes
+the gradient at the valid directions of live rows, so a closed gate
+keeps the tanh gradient and the budget can open it again when a
 sample's route costs less than its target.
 """
 
@@ -149,18 +152,6 @@ class RouteRecord:
         return np.concatenate(
             [self.gates[n] * self.masks[n] for n in self.node_ids], axis=1
         )
-
-    def export_text(self, sample: int) -> str:
-        """One text record per node: layer scale g_up g_keep g_down mask."""
-        lines = [f"# sample {sample}"]
-        for n in self.node_ids:
-            g = self.gates[n][sample]
-            m = self.masks[n][sample]
-            lines.append(
-                f"{n.layer} {n.scale} {g[0]:.6f} {g[1]:.6f} {g[2]:.6f} "
-                f"{int(m[0])} {int(m[1])} {int(m[2])}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def binarize_gates(gates: np.ndarray, threshold: float) -> np.ndarray:
@@ -271,7 +262,8 @@ class Supernet:
         return x
 
     def router_forward(self, node: NodeId, x: Tensor) -> Tensor:
-        """Continuous (B, 3) gates in [0, 1], invalid directions forced to 0."""
+        """The (B, 3) tanh of the router's logits; the gates are its
+        positive part, boundary-masked (see _node_gates)."""
         base = f"node.{node.layer}.{node.scale}.router"
         pooled = ad.avg_pool_to(x, 2, 2)
         mixed = ad.conv2d_1x1(pooled, self.params[f"{base}.conv_w"])
@@ -279,10 +271,7 @@ class Supernet:
         logits = ad.fully_connected(
             _standardize_rows(squeezed), self.params[f"{base}.fc_w"], self.params[f"{base}.fc_b"]
         )
-        t = ad.tanh(logits)
-        gates = ad.straight_through(t, np.maximum(t.data, 0.0))
-        mask = Tensor(self.node_masks[node].astype(np.float64))
-        return ad.mul(gates, mask)
+        return ad.tanh(logits)
 
     # -- forward ------------------------------------------------------------
 
@@ -290,14 +279,14 @@ class Supernet:
         self,
         images,
         mode: str = "train",
-        forced_gates: dict[NodeId, object] | None = None,
+        forced_gates: dict[NodeId, np.ndarray] | None = None,
     ) -> tuple[list[Tensor], RouteRecord]:
         """Run the trellis; returns pyramid features and the route record.
 
         The pyramid has num_scales + 1 levels: one projection per scale
         plus one extra level from a stride-2 separable conv on the last.
-        forced_gates maps NodeId to a (B, 3) or (3,) array or Tensor that
-        replaces the router output (still boundary-masked).
+        forced_gates maps NodeId to a (B, 3) or (3,) array that replaces
+        the router's gates (still boundary-masked).
         """
         if mode not in ("train", "infer"):
             raise UsageError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -338,18 +327,16 @@ class Supernet:
                 n_open = open_in.get(scale, np.zeros(B))
                 live = n_open > 0
                 x = self._node_input(node, incoming.get(scale, []), n_open)
-                gates = self._node_gates(node, x, forced_gates)
-                open_mask = binarize_gates(gates.data, tau) & live[:, None]
-                gates_np[node] = gates.data.copy()
+                pre, gates = self._node_gates(node, x, forced_gates)
+                open_mask = binarize_gates(gates, tau) & live[:, None]
+                gates_np[node] = gates
                 masks_np[node] = open_mask
                 if mode == "train":
                     # open paths carry the gate value; closed paths at live
                     # nodes carry nothing forward but still pass gradient back
-                    if not live.all():
-                        gates = ad.mul(gates, Tensor(live[:, None].astype(np.float64)))
-                    open_gates = ad.straight_through(gates, gates_np[node] * open_mask)
-                    gate_tensors[node] = open_gates
                     needed = self.node_masks[node] & live[:, None]
+                    open_gates = ad.straight_through(pre, gates * open_mask, passes=needed)
+                    gate_tensors[node] = open_gates
                 else:
                     needed = open_mask
                 counts = needed.sum(axis=0).tolist()  # samples per direction
@@ -415,18 +402,17 @@ class Supernet:
         w = self._input_hw[1] // (8 * 2**scale)
         return h, w
 
-    def _node_gates(self, node, x, forced) -> Tensor:
+    def _node_gates(self, node, x, forced) -> tuple[Tensor, np.ndarray]:
+        """The tensor a gate's gradient flows into and the (B, 3) gates,
+        boundary-masked: max(0, tanh) of the router's, or the forced
+        array's, which take no gradient."""
+        mask = self.node_masks[node]
         if forced is not None and node in forced:
-            g = forced[node]
-            g = g if isinstance(g, Tensor) else Tensor(np.asarray(g, dtype=np.float64))
-            if g.data.ndim == 1:
-                g = ad.reshape(g, (1, 3))
-            B = x.data.shape[0]
-            if g.data.shape[0] == 1 and B > 1:
-                g = ad.mul(g, Tensor(np.ones((B, 1))))
-            mask = Tensor(self.node_masks[node].astype(np.float64))
-            return ad.mul(g, mask)
-        return self.router_forward(node, x)
+            gates = np.empty((x.data.shape[0], 3))
+            np.multiply(forced[node], mask, out=gates)
+            return Tensor(gates), gates
+        t = self.router_forward(node, x)
+        return t, np.maximum(t.data, 0.0) * mask
 
     def _transform(self, node: NodeId, direction: str, y: Tensor) -> Tensor:
         base = f"node.{node.layer}.{node.scale}"

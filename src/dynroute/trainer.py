@@ -37,7 +37,7 @@ from .config import (
     train_config_from,
 )
 from .costmodel import CostConstants, binary_route_cost, compile_cost_table, network_cost
-from .data_synth import Corpus
+from .data_synth import NUM_CLASSES, Corpus
 from .errors import NumericError, UsageError
 from .head_loss import (
     DetectionHead,
@@ -52,7 +52,6 @@ from .scale_budget import (
     ScaleIntervals,
     encode_scales,
     expected_budget,
-    fixed_budget,
     loss_aware_budget,
 )
 from .similarity import local_similarity_loss
@@ -97,6 +96,7 @@ def model_from_config(config: dict) -> Model:
     return Model(
         spec=supernet_spec_from(config),
         intervals=intervals_from(config),
+        num_classes=NUM_CLASSES,
         seed=train_config_from(config).seed,
         **head_from(config),
     )
@@ -298,7 +298,7 @@ def _normalized_budget_loss(cnet: Tensor, budgets: np.ndarray, c_tot: float) -> 
 
 def _budget_targets(strategy, encodings, det_per_sample, c0, m, loss_buffer) -> np.ndarray:
     if strategy == "fixed":
-        return np.array([fixed_budget(c0) for _ in range(len(encodings))])
+        return np.full(len(encodings), c0)
     if strategy == "loss_aware":
         return np.array(
             [loss_aware_budget(loss_buffer, float(v)) for v in det_per_sample]

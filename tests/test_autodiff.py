@@ -408,6 +408,17 @@ def test_tape_replay_identical_losses():
     assert run() == run()
 
 
+def test_cosine_similarity_of_identical_vectors_is_one():
+    r = Tensor(np.array([0.2, 0.8, 0.4]))
+    assert float(ad.cosine_similarity(r, r).data) == pytest.approx(1.0)
+
+
+def test_cosine_similarity_of_disjoint_supports_is_zero():
+    a = Tensor(np.array([1.0, 0.0, 0.5, 0.0]))
+    b = Tensor(np.array([0.0, 0.3, 0.0, 0.9]))
+    assert float(ad.cosine_similarity(a, b).data) == 0.0
+
+
 def test_cosine_similarity_zero_norm_is_zero():
     u = Tensor(np.zeros(4), requires_grad=True)
     v = Tensor(np.ones(4), requires_grad=True)
@@ -425,6 +436,15 @@ def test_straight_through_forwards_value_and_passes_gradient():
         tape.backward(ad.tsum(ad.mul(out, Tensor(np.array([3.0, 4.0, 5.0])))))
     np.testing.assert_array_equal(out.data, [0.0, 1.0, 1.0])
     np.testing.assert_array_equal(x.grad, [3.0, 4.0, 5.0])
+
+
+def test_straight_through_passes_gradient_only_where_passes():
+    x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
+    with Tape() as tape:
+        out = ad.straight_through(x, np.array([0.0, 1.0, 1.0]), passes=np.array([True, False, True]))
+        tape.backward(ad.tsum(ad.mul(out, Tensor(np.array([3.0, -4.0, 5.0])))))
+    np.testing.assert_array_equal(out.data, [0.0, 1.0, 1.0])
+    assert x.grad.tobytes() == np.array([3.0, 0.0, 5.0]).tobytes()  # +0.0, as the tape adds 0.0
 
 
 def test_straight_through_rejects_shape_mismatch():
@@ -494,6 +514,8 @@ def _max_ties(datas):
     return bool(np.any(np.abs(s[..., -1] - s[..., -2]) < _TIE_GUARD))
 
 
+_PASSES = np.arange(12).reshape(3, 4) % 3 != 1
+
 OPS = [
     ("add", lambda a, b: ad.add(a, b), [(3, 4), (3, 4)], None),
     ("add_broadcast", lambda a, b: ad.add(a, b), [(3, 4), (4,)], None),
@@ -511,6 +533,20 @@ OPS = [
     # forward value equal to the input's function, so the identity backward
     # is the true gradient here; test_straight_through_* pin the other case
     ("straight_through", lambda a: ad.straight_through(ad.square(a), np.square(a.data)), [(3, 4)], None),
+    # with passes, a forward value of a's function times passes makes
+    # g * passes the true gradient
+    (
+        "straight_through_passes",
+        lambda a: ad.straight_through(ad.square(a), np.square(a.data) * _PASSES, passes=_PASSES),
+        [(3, 4)],
+        None,
+    ),
+    (
+        "straight_through_passes_row",
+        lambda a: ad.straight_through(ad.square(a), np.square(a.data) * _PASSES[0], passes=_PASSES[0]),
+        [(3, 4)],
+        None,
+    ),
     ("minimum", ad.minimum, [(3, 4), (3, 4)], _pairwise_ties),
     ("sum", ad.tsum, [(3, 4)], None),
     ("sum_axis", lambda a: ad.sum_axis(a, 1), [(3, 4)], None),

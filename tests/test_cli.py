@@ -119,6 +119,10 @@ class TestConfig:
         ({"train": {"clip_grad_norm": math.inf}}, "train.clip_grad_norm"),
         ({"data": {"scale_boundaries": [8, math.nan, 32]}}, "data.scale_boundaries"),
         ({"data": {"scale_mix": [[[1, 0, 0, 0], math.nan]]}}, "data.scale_mix"),
+        # keys of settings with one working value, now constants
+        ({"data": {"num_classes": 2}}, "data.num_classes"),
+        ({"head": {"num_classes": 2}}, "head.num_classes"),
+        ({"supernet": {"in_channels": 1}}, "supernet.in_channels"),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):
@@ -129,6 +133,28 @@ def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "box",
+    [[2, 2, float("nan"), 4, 0], [2, 2, 4, 4, 7]],
+    ids=["nan-width", "class-7"],
+)
+def test_train_on_bad_annotations_exit_2_before_output(tmp_path, capsys, tiny_config_path, box):
+    data = tmp_path / "corpus"
+    assert main(["gen-data", "--config", tiny_config_path, "--out", str(data)]) == 0
+    lines = (data / "annotations.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    record["boxes"][0] = box
+    lines[0] = json.dumps(record)  # writes NaN for a nan float
+    (data / "annotations.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = main(["train", "--config", tiny_config_path, "--data", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "malformed annotations" in err
     assert not out.exists()
 
 

@@ -260,3 +260,33 @@ class TestCostReport:
         assert lines[1].startswith("0,10.0,100.0,0.1")
         assert lines[3] == "aggregate,mean,max,min,std"
         assert report.mean == 20.0 and report.std == 10.0
+
+
+def test_oracle_upsampling_does_not_share_the_executor_coefficients(monkeypatch):
+    """With the executor's bilinear weights swapped, forward's features
+    move and the oracle's stay put, so a wrong coefficient cannot move
+    both together and pass the feature cross-check."""
+    from dynroute.autodiff import ops
+
+    net = build_supernet(SMALL_SPEC, seed=4)
+    img = np.random.default_rng(10).uniform(0, 1, (1, 32, 32))
+    masks = {n: net.node_masks[n].copy() for n in net.nodes}  # every valid path open
+    forced = {n: m.astype(np.float64)[None] for n, m in masks.items()}
+
+    def gaps():
+        _, final = count_executed_madds(net, img, masks)
+        pyramid, _ = net.forward(Tensor(img[None]), mode="infer", forced_gates=forced)
+        return [
+            np.abs(pyramid[s].data[0] - np.einsum("oc,chw->ohw", net.params[f"proj.{s}.w"].data, f)).max()
+            for s, f in final.items()
+        ]
+
+    assert max(gaps()) < 1e-10
+    orig = ops._upsample_axis_coeffs
+
+    def swapped(n):
+        lo, hi, w_lo, w_hi = orig(n)
+        return lo, hi, w_hi, w_lo
+
+    monkeypatch.setattr(ops, "_upsample_axis_coeffs", swapped)
+    assert max(gaps()) > 1e-6

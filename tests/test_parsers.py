@@ -101,6 +101,29 @@ def test_pgm_header_size_must_match_pixel_count(corpus_dir, w, h):
         pytest.param(
             "img.pgm", b"P5\n4 3\n255\n" + bytes(16), read_pgm, DataError, id="pgm-16-bytes-for-4x3"
         ),
+        *(
+            pytest.param(
+                "annotations.jsonl",
+                b'{"image_id": 0, "boxes": [' + box + b"]}\n",
+                lambda path: load_corpus(path.parent),
+                DataError,
+                id=f"box-{name}",
+            )
+            for name, box in [
+                ("nan-width", b"[1, 2, NaN, 4, 0]"),
+                ("infinite-x", b"[Infinity, 2, 3, 4, 0]"),
+                ("negative-infinite-h", b"[1, 2, 3, -Infinity, 1]"),
+                ("boolean-y", b"[1, true, 3, 4, 0]"),
+                ("boolean-class", b"[1, 2, 3, 4, false]"),
+                ("zero-width", b"[1, 2, 0, 4, 0]"),
+                ("negative-height", b"[1, 2, 3, -4, 1]"),
+                ("class-7", b"[1, 2, 3, 4, 7]"),
+                ("class-minus-1", b"[1, 2, 3, 4, -1]"),
+                ("fractional-class", b"[1, 2, 3, 4, 0.5]"),
+                ("float-class", b"[1, 2, 3, 4, 1.0]"),
+                ("huge-integer-x", b"[1" + b"0" * 400 + b", 2, 3, 4, 0]"),
+            ]
+        ),
     ],
 )
 def test_known_damage_raises_typed_error(tmp_path, name, blob, load, error):

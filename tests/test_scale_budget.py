@@ -12,7 +12,6 @@ from dynroute.scale_budget import (
     ScaleIntervals,
     encode_scales,
     expected_budget,
-    fixed_budget,
     global_budget_loss,
     loss_aware_budget,
 )
@@ -76,7 +75,6 @@ class TestExpectedBudget:
 
     def test_empty_floor_is_one_interval(self):
         assert expected_budget(np.zeros(4), 100.0, 4) == 25.0
-        assert expected_budget(np.zeros(4), 100.0, 4, floor_empty=False) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(UsageError):
@@ -134,7 +132,7 @@ class TestGlobalBudgetLoss:
 
 class TestLossAwareBudget:
     def _filled(self, c0=10.0):
-        buf = LossAwareBudget(c0, buffer_len=100)
+        buf = LossAwareBudget(c0)
         for v in np.linspace(1.0, 2.0, 100):
             buf.push(float(v))
         return buf
@@ -156,16 +154,19 @@ class TestLossAwareBudget:
         assert buf.budget_for(1.0) == 10.0  # strict less-than
 
     def test_fifo_eviction(self):
-        buf = LossAwareBudget(10.0, buffer_len=3)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            buf.push(v)
-        assert list(buf.buffer) == [2.0, 3.0, 4.0]
+        buf = LossAwareBudget(10.0)
+        for v in range(101):
+            buf.push(float(v))
+        assert list(buf.buffer) == [float(v) for v in range(1, 101)]
 
     def test_update_wrapper(self):
-        buf = LossAwareBudget(10.0, buffer_len=5)
+        buf = LossAwareBudget(10.0)
         first = loss_aware_budget(buf, 3.0)
         assert first == 10.0  # empty buffer ranks zero
         assert list(buf.buffer) == [3.0]
+        for v in range(100):
+            loss_aware_budget(buf, float(v))
+        assert list(buf.buffer) == [float(v) for v in range(100)]  # 3.0, the oldest, evicted
 
     @given(st.lists(st.floats(0.1, 10.0, allow_nan=False), min_size=1, max_size=150),
            st.floats(0.0, 20.0, allow_nan=False))
@@ -175,9 +176,3 @@ class TestLossAwareBudget:
             buf.push(v)
         got = buf.budget_for(current)
         assert 7.0 <= got <= 28.0
-
-
-class TestFixedBudget:
-    def test_constant(self):
-        assert fixed_budget(42.0) == 42.0
-        assert fixed_budget(42.0) == fixed_budget(42.0)

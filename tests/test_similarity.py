@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dynroute.autodiff as ad
-from dynroute.autodiff import Tape, Tensor, grad_check
+from dynroute.autodiff import Tape, Tensor
 from dynroute.errors import ConfigurationError, UsageError
 from dynroute.similarity import (
     SimilarityConfig,
     gt_similarity,
     local_similarity_loss,
-    path_similarity,
     scale_similarity,
 )
 
@@ -40,24 +39,6 @@ class TestScaleSimilarity:
         v = scale_similarity(sa, sb, 4)
         assert v == scale_similarity(sb, sa, 4)
         assert 0.0 <= v <= 1.0
-
-
-class TestPathSimilarity:
-    def test_identical_routes(self):
-        r = Tensor(np.array([0.2, 0.8, 0.4]))
-        assert float(path_similarity(r, r).data) == pytest.approx(1.0)
-
-    def test_disjoint_supports(self):
-        a = Tensor(np.array([1.0, 0.0, 0.5, 0.0]))
-        b = Tensor(np.array([0.0, 0.3, 0.0, 0.9]))
-        assert float(path_similarity(a, b).data) == 0.0
-
-    def test_gradient_matches_finite_differences(self):
-        report = grad_check(
-            ad.cosine_similarity, [(8,), (8,)], low=0.05, high=1.0,
-            name="path_similarity",
-        )
-        assert report.passed, str(report)
 
 
 class TestGtSimilarity:

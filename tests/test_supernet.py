@@ -8,6 +8,7 @@ from dynroute.autodiff import Tape, Tensor
 from dynroute.errors import ConfigurationError, UsageError
 from dynroute.head_loss import DetectionHead, PyramidGeometry
 from dynroute.supernet import (
+    DIRECTIONS,
     NodeId,
     SupernetSpec,
     _scatter_rows,
@@ -108,11 +109,11 @@ class TestRouter:
         node = NodeId(1, 0)
         net.params["node.1.0.router.fc_w"].data[:] = 0.0
         net.params["node.1.0.router.fc_b"].data[:] = -0.5
-        x = Tensor(np.random.default_rng(0).uniform(0, 1, (2, 4, 4, 4)))
         with Tape() as tape:
-            gates = net.router_forward(node, x)
-            tape.backward(ad.tsum(gates))
-        assert np.all(gates.data == 0.0)
+            _, record = net.forward(_images(TINY_SPEC, 2, 0), mode="train")
+            tape.backward(ad.tsum(record.gate_tensors[node]))
+        assert np.all(record.gates[node] == 0.0)
+        assert np.all(record.gate_tensors[node].data == 0.0)
         grad = net.params["node.1.0.router.fc_b"].grad
         np.testing.assert_allclose(grad[1], 2 * (1 - np.tanh(-0.5) ** 2))
 
@@ -284,18 +285,6 @@ class TestSupernetForward:
         vec = record.route_vectors()
         assert vec.shape == (2, 3 * len(net.nodes))
 
-    def test_route_export_text_format(self):
-        net = build_supernet(TINY_SPEC, seed=0)
-        _, record = net.forward(_images(TINY_SPEC, 2, 1), mode="infer")
-        text = record.export_text(1)
-        lines = text.strip().split("\n")
-        assert lines[0] == "# sample 1"
-        assert len(lines) == 1 + len(net.nodes)
-        fields = lines[1].split()
-        assert len(fields) == 8
-        int(fields[0]), int(fields[1])
-        assert all(f in ("0", "1") for f in fields[5:])
-
     def test_train_mode_gates_are_differentiable(self):
         net = build_supernet(TINY_SPEC, seed=0)
         with Tape() as tape:
@@ -420,3 +409,113 @@ class TestSampleSparseInfer:
         assert rows["block"] < self.BATCH * len(net.nodes)
         for j in (0, 2):
             assert rows[j] == sum(int(m[:, j].sum()) for m in masks)
+
+
+def _live_rows(net, record, node):
+    """Per sample, whether an open path of the previous layer reaches node."""
+    if node.layer == 1:
+        return np.ones(record.batch_size, dtype=bool)
+    live = np.zeros(record.batch_size, dtype=bool)
+    for prev in net.nodes:
+        for j, (_direction, delta) in enumerate(DIRECTIONS):
+            if prev.layer == node.layer - 1 and prev.scale + delta == node.scale:
+                live |= record.masks[prev][:, j]
+    return live
+
+
+def _old_gate_chain(net, node, x, live, forced):
+    """A node's train-mode gate as the gating built it before it was one
+    op: the router's straight-through and boundary-mask mul (or the
+    forced array's reshape, ones mul and mask mul), a live-row mul when a
+    row is dead, and a straight-through to the open gates."""
+    B = live.shape[0]
+    mask = Tensor(net.node_masks[node].astype(np.float64))
+    if forced is None:
+        t = net.router_forward(node, x)
+        g = ad.mul(ad.straight_through(t, np.maximum(t.data, 0.0)), mask)
+    else:
+        g = Tensor(np.asarray(forced, dtype=np.float64))
+        if g.data.ndim == 1:
+            g = ad.reshape(g, (1, 3))
+        if g.data.shape[0] == 1 and B > 1:
+            g = ad.mul(g, Tensor(np.ones((B, 1))))
+        g = ad.mul(g, mask)
+    gates = g.data.copy()
+    open_mask = binarize_gates(gates, net.spec.gate_threshold) & live[:, None]
+    if not live.all():
+        g = ad.mul(g, Tensor(live[:, None].astype(np.float64)))
+    return ad.straight_through(g, gates * open_mask), gates, open_mask
+
+
+def test_one_op_gate_equals_the_old_chain_bytewise(monkeypatch):
+    """Each node's gate op forwards the same open gates, and hands the
+    router's tanh input and parameters the same gradients, byte for byte,
+    as the old four-op chain fed the same upstream gradient.
+
+    Covered: logits below, at and above 0 (one router's fc_b is
+    (-0.5, 0, 0.7) with fc_w 0), dead rows (sample 0's route is closed
+    at layer 1, sample 1 keeps one scale), every node of the desk trellis
+    (top and bottom scales, last layer), and forced (B, 3) and (3,) gates.
+    """
+    net = build_supernet(DESK_SPEC, seed=6)
+    B = 4
+    signed = NodeId(3, 1)
+    net.params[f"node.{signed.layer}.{signed.scale}.router.fc_w"].data[:] = 0.0
+    net.params[f"node.{signed.layer}.{signed.scale}.router.fc_b"].data[:] = [-0.5, 0.0, 0.7]
+    forced = {
+        NodeId(1, 0): np.array([[0.0, 0.0, 0.0], [0.0, 0.8, 0.0], [0.0, 0.6, 0.9], [1.0, 1.0, 1.0]]),
+        NodeId(2, 1): np.array([0.7, 0.0, 0.5]),
+    }
+
+    tanh_inputs = []
+    tanh = ad.tanh
+    monkeypatch.setattr(ad, "tanh", lambda a: tanh_inputs.append(a) or tanh(a))
+    router_calls = {}
+    router = net.router_forward
+
+    def capturing_router(node, x):
+        t = router(node, x)
+        router_calls[node] = (Tensor(x.data), tanh_inputs[-1])  # x.data keeps its memory layout
+        return t
+
+    net.router_forward = capturing_router
+    rng = np.random.default_rng(3)
+    weights = {n: Tensor(rng.normal(size=(B, 3))) for n in net.nodes}
+    with Tape() as tape:
+        pyramid, record = net.forward(_images(DESK_SPEC, B, seed=8), mode="train", forced_gates=forced)
+        total = ad.tsum(ad.mul(pyramid[0], pyramid[0]))
+        for n in net.nodes:
+            total = ad.add(total, ad.tsum(ad.mul(record.gate_tensors[n], weights[n])))
+        tape.backward(total)
+    del net.router_forward
+
+    def router_grads():
+        return {
+            k: p.grad.tobytes() for k, p in net.params.items() if ".router." in k and p.grad is not None
+        }
+
+    new_grads = router_grads()
+    for p in net.params.values():
+        p.grad = None
+    seen = {"dead": False, "negative": False, "zero": False, "positive": False}
+    for n in net.nodes:
+        live = _live_rows(net, record, n)
+        seen["dead"] |= not live.all()
+        gate = record.gate_tensors[n]
+        x, logits = router_calls.get(n, (None, None))
+        with Tape() as tape:
+            old, gates, open_mask = _old_gate_chain(net, n, x, live, forced.get(n))
+            assert old.data.tobytes() == gate.data.tobytes()
+            assert gates.tobytes() == record.gates[n].tobytes()
+            assert np.array_equal(open_mask, record.masks[n])
+            if n in forced:
+                assert not gate.requires_grad
+                continue
+            old_logits = tanh_inputs[-1]
+            tape.backward(ad.tsum(ad.mul(old, Tensor(gate.grad))))
+        assert old_logits.grad.tobytes() == logits.grad.tobytes()
+        for sign, hit in (("negative", logits.data < 0), ("zero", logits.data == 0), ("positive", logits.data > 0)):
+            seen[sign] |= bool(hit.any())
+    assert all(seen.values()), seen
+    assert len(new_grads) == 3 * (len(net.nodes) - len(forced))
+    assert router_grads() == new_grads
