@@ -49,7 +49,8 @@ EPOCHS = 2
 
 def _calling_module(frame) -> str:
     """The first dynroute module outside autodiff up the call stack from
-    frame, without its package prefix."""
+    frame (the op's own frame: an op defined outside autodiff counts
+    under its own module), without its package prefix."""
     while frame is not None:
         name = frame.f_globals.get("__name__", "")
         if name.startswith("dynroute.") and not name.startswith("dynroute.autodiff"):
@@ -76,7 +77,7 @@ class _Counter:
             if tape is not None and len(tape) > before:
                 op = sys._getframe(1)
                 self._ops[op.f_code.co_name] += 1
-                self._modules[_calling_module(op.f_back)] += 1
+                self._modules[_calling_module(op)] += 1
             return out
 
         def counting_backward(tape, loss):
@@ -104,6 +105,7 @@ def main() -> int:
     ops: dict[int, Counter] = defaultdict(Counter)
     modules: dict[int, Counter] = defaultdict(Counter)
     for rec, (n, op_counts, module_counts) in zip(log, counter.tapes):
+        assert sum(op_counts.values()) == sum(module_counts.values()) == n
         lengths[rec["epoch"]].append(n)
         ops[rec["epoch"]].update(op_counts)
         modules[rec["epoch"]].update(module_counts)

@@ -217,11 +217,6 @@ def exp(a: Tensor) -> Tensor:
     return record((a,), out, lambda g: (g * out,))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return record((a,), out, lambda g: (g * 0.5 / out,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return record((a,), out, lambda g: (g * (1.0 - out * out),))
@@ -290,18 +285,6 @@ def tsum(a: Tensor) -> Tensor:
     return record((a,), np.sum(a.data), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
-    shape = a.data.shape
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return record((a,), out, backward)
-
-
 def mean(a: Tensor) -> Tensor:
     n = a.data.size
     shape = a.data.shape
@@ -310,23 +293,23 @@ def mean(a: Tensor) -> Tensor:
     )
 
 
-def max_over_vector(a: Tensor, axis: int = -1) -> Tensor:
-    """Max along one axis; backward sends all gradient to the first maximum."""
-    out = np.max(a.data, axis=axis)
-    argmax = np.argmax(a.data, axis=axis)  # np.argmax returns the lowest index
-    shape = a.data.shape
+def standardize_rows(v: Tensor, eps: float = 1e-6) -> Tensor:
+    """(B, F) rows shifted to zero mean and divided by sqrt(var + eps),
+    with the float arithmetic of the chain of generic ops it replaces.
+    v is listed twice: the gradients through the centered rows and their
+    mean reach v one at a time, free of -0.0, as through the chain."""
+    x = v.data
+    inv_w = 1.0 / x.shape[1]
+    c = x - np.sum(x, axis=1, keepdims=True) * inv_w
+    sd = np.sqrt(np.sum(c * c, axis=1, keepdims=True) * inv_w + eps)
 
     def backward(g):
-        grad = np.zeros(shape)
-        np.put_along_axis(
-            grad,
-            np.expand_dims(argmax, axis),
-            np.expand_dims(g, axis),
-            axis=axis,
-        )
-        return (grad,)
+        g_sd = np.sum(-g * c / (sd * sd), axis=1, keepdims=True)
+        g_c = g / sd + 0.0 + 2.0 * c * (g_sd * 0.5 / sd * inv_w)
+        g_mean = np.sum(-g_c, axis=1, keepdims=True) * inv_w + 0.0
+        return g_c, np.broadcast_to(g_mean, x.shape)
 
-    return record((a,), out, backward)
+    return record((v, v), c / sd, backward)
 
 
 # ---------------------------------------------------------------------------

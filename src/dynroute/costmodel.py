@@ -21,6 +21,12 @@ the training budget uses this form, because the relaxed max(G_i) term
 charges a node whose gates sit just above the threshold a small fraction
 of the conv it will run in full.
 
+network_cost is one tape entry that lists each gate tensor twice, last
+node first, for its direction gradient and then its conv gradient (at
+the first valid maximum): the tape adds them to the gate's gradient one
+at a time, as the chain of per-node ops it replaces did, where one
+summed array would round differently for a gate with another consumer.
+
 binary_route_cost bills a set of open masks as given; the masks that
 Supernet.forward records never leave open a node without live input.
 count_executed_madds is an independent oracle: it re-walks the trellis
@@ -37,6 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .autodiff import tensor as ad_tensor
 from .errors import UsageError
 from .supernet import NodeId, Supernet, SupernetSpec, reachable_nodes, valid_directions
 
@@ -120,29 +127,14 @@ def compile_cost_table(spec: SupernetSpec, input_h: int, input_w: int) -> CostCo
     )
 
 
-def node_cost(gates, constants: NodeCost, billed_conv: bool = False) -> Tensor:
-    """Differentiable per-node cost. gates is a (B, 3) or (3,) Tensor/array.
-
-    billed_conv=True charges the conv term in full once any gate is open
-    (forward) with the gradient of max(G) * c_conv (backward).
-    """
-    g = ad.as_tensor(gates)
-    cols = np.flatnonzero(constants.valid)
-    valid = g if len(cols) == 3 else ad.take(g, (..., cols))
-    largest = ad.max_over_vector(valid, axis=-1)
-    if billed_conv:
-        largest = ad.straight_through(largest, (largest.data > 0).astype(np.float64))
-    conv_term = ad.mul(largest, Tensor(constants.c_conv))
-    dir_term = ad.sum_axis(ad.mul(g, Tensor(constants.direction_vector)), axis=-1)
-    return ad.add(conv_term, dir_term)
-
-
 def network_cost(
-    gate_map: dict[NodeId, Tensor], table: CostConstants, billed_conv: bool = False
+    gate_map: dict[NodeId, Tensor | np.ndarray], table: CostConstants, billed_conv: bool = False
 ) -> Tensor:
     """Sum of node costs over every reachable node, in the map's key
     order; differentiable in gates. gate_map maps each NodeId to its
     (B, 3) or (3,) gates, e.g. a train-mode RouteRecord.gate_tensors.
+    Records through autodiff.tensor.record, looked up at call time, so
+    tools that wrap that hook see the op.
     """
     expected = set(table.per_node.keys())
     if set(gate_map) != expected:
@@ -150,17 +142,35 @@ def network_cost(
             f"route covers {len(gate_map)} nodes but the cost table has "
             f"{len(expected)}; spec mismatch"
         )
-    total: Tensor | None = None
+    nodes = []  # (gates, node constants, valid columns), last node first
+    total = None
     for node, gates in gate_map.items():
-        c = node_cost(gates, table.per_node[node], billed_conv=billed_conv)
-        total = c if total is None else ad.add(total, c)
-    return total
+        g, nc = ad.as_tensor(gates), table.per_node[node]
+        cols = np.flatnonzero(nc.valid)
+        valid = g.data[..., cols]
+        largest = np.max(valid, axis=-1)
+        if billed_conv:
+            largest = (largest > 0).astype(np.float64)
+        c = largest * nc.c_conv + np.sum(g.data * nc.direction_vector, axis=-1)
+        total = c if total is None else total + c
+        nodes.insert(0, (g, nc, cols))
+
+    def backward(grad):
+        h = np.expand_dims(grad + 0.0, -1)
+        grads = []
+        for g, nc, cols in nodes:
+            first_max = np.expand_dims(cols[np.argmax(g.data[..., cols], axis=-1)], -1)
+            direction = np.broadcast_to(h, g.data.shape) * nc.direction_vector
+            grads += [direction, np.where(first_max == np.arange(3), h * nc.c_conv + 0.0, 0.0)]
+        return grads
+
+    inputs = [g for g, _, _ in nodes for _ in range(2)]
+    return ad_tensor.record(inputs, total, backward)
 
 
 def binary_route_cost(masks: dict[NodeId, np.ndarray], table: CostConstants) -> np.ndarray:
     """Per-sample cost of binarized routes, as plain float64 (B,)."""
-    gate_map = {n: Tensor(m.astype(np.float64)) for n, m in masks.items()}
-    return network_cost(gate_map, table).data.copy()
+    return network_cost(masks, table).data.copy()
 
 
 # ---------------------------------------------------------------------------

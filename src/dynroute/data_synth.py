@@ -281,10 +281,15 @@ def load_corpus(dir_path: str | Path) -> Corpus:
         with open(ann_path, "r", encoding="ascii") as f:
             annotations = [json.loads(line) for line in f if line.strip()]
         names = [f"img_{rec['image_id']:05d}.pgm" for rec in annotations]
+        seen = set()
         for rec in annotations:
+            image_id = rec["image_id"]
+            if isinstance(image_id, bool) or image_id in seen:
+                raise ValueError(f"image_id {image_id!r} is a boolean or repeats")
+            seen.add(image_id)
             for box in rec["boxes"]:
-                _check_box(box, rec["image_id"])
-    # not ASCII, not JSON, not a record or box, or an int too large for a float
+                _check_box(box, image_id)
+    # not ASCII, not JSON, not a record or box, a bool or repeated image_id, or a huge int
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{ann_path}: malformed annotations: {exc!r}") from None
     images = []

@@ -44,9 +44,10 @@ a tape the channel contractions run as BLAS matmul, see autodiff/ops.py):
   receive gradient (a closed path's output is zero in the forward pass).
 
 The router pools its input, mixes channels, and standardizes the pooled
-vector of each sample (zero mean, unit variance over channels) before
-the 3-way dense layer, so its gates do not depend on the overall scale
-of the features, only on their channel pattern. Its gate is
+vector of each sample (zero mean, unit variance over channels; one
+ad.standardize_rows op) before the 3-way dense layer, so its gates do
+not depend on the overall scale of the features, only on their channel
+pattern. Its gate is
 max(0, tanh(logit)), boundary-masked; forced gates (numpy arrays) replace
 it and take no gradient. In train mode a node's gate and masks are one
 straight-through op on the tanh: it forwards the open gates and passes
@@ -159,15 +160,6 @@ def binarize_gates(gates: np.ndarray, threshold: float) -> np.ndarray:
     return np.asarray(gates) >= threshold
 
 
-def _standardize_rows(v: Tensor, eps: float = 1e-6) -> Tensor:
-    """(B, F) rows shifted to zero mean and scaled to unit variance."""
-    width = v.data.shape[1]
-    mean = ad.mul(ad.sum_axis(v, 1, keepdims=True), Tensor(1.0 / width))
-    centered = ad.sub(v, mean)
-    var = ad.mul(ad.sum_axis(ad.square(centered), 1, keepdims=True), Tensor(1.0 / width))
-    return ad.div(centered, ad.sqrt(ad.add(var, Tensor(eps))))
-
-
 def _scatter_rows(part: Tensor, rows: np.ndarray, batch: int) -> Tensor:
     """Inverse of ad.gather_rows: part's samples at the sorted indices
     rows of a batch, zeros elsewhere.
@@ -269,7 +261,7 @@ class Supernet:
         mixed = ad.conv2d_1x1(pooled, self.params[f"{base}.conv_w"])
         squeezed = ad.global_avg_pool(mixed)
         logits = ad.fully_connected(
-            _standardize_rows(squeezed), self.params[f"{base}.fc_w"], self.params[f"{base}.fc_b"]
+            ad.standardize_rows(squeezed), self.params[f"{base}.fc_w"], self.params[f"{base}.fc_b"]
         )
         return ad.tanh(logits)
 

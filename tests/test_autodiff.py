@@ -8,7 +8,9 @@ import pytest
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor, grad_check, ops
 from dynroute.autodiff.tensor import record
+from dynroute.costmodel import CostConstants, NodeCost, network_cost
 from dynroute.errors import ConfigurationError, UsageError
+from dynroute.supernet import NodeId, SupernetSpec
 
 
 def test_add_identity():
@@ -376,12 +378,35 @@ def test_backward_requires_scalar_loss():
             tape.backward(out)
 
 
-def test_max_over_vector_first_max_tiebreak():
-    x = Tensor(np.array([[1.0, 3.0, 3.0], [2.0, 0.0, 1.0]]), requires_grad=True)
+def test_standardize_rows_matches_numpy_mean_and_var():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(4, 7)) * np.array([[1e-3], [1.0], [50.0], [1.0]])
+    x[3] = 2.5  # a constant row standardizes to zeros
+    got = ad.standardize_rows(Tensor(x)).data
+    mean = np.mean(x, axis=1, keepdims=True)
+    var = np.var(x, axis=1, keepdims=True)
+    np.testing.assert_allclose(got, (x - mean) / np.sqrt(var + 1e-6), rtol=0, atol=1e-12)
+    assert np.all(got[3] == 0.0)
+
+
+def test_standardize_rows_adds_its_two_gradient_parts_in_turn():
+    """v's gradient through the centered rows, then the one through their
+    mean, are added one at a time to what v already holds from a later
+    consumer, as for the chain of generic ops the op replaces."""
+    rng = np.random.default_rng(5)
+    x, g, prev = rng.normal(size=(3, 3, 6))
+    v = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        loss = ad.tsum(ad.max_over_vector(x, axis=1))
-        tape.backward(loss)
-    np.testing.assert_array_equal(x.grad, [[0, 1, 0], [1, 0, 0]])
+        out = ad.standardize_rows(v)
+        tape.backward(ad.add(ad.tsum(ad.mul(out, Tensor(g))), ad.tsum(ad.mul(v, Tensor(prev)))))
+    inv_w = 1.0 / 6
+    c = x - np.sum(x, axis=1, keepdims=True) * inv_w
+    sd = np.sqrt(np.sum(c * c, axis=1, keepdims=True) * inv_w + 1e-6)
+    g_sd = np.sum(-g * c / (sd * sd), axis=1, keepdims=True)
+    g_c = g / sd + 2.0 * c * (g_sd * 0.5 / sd * inv_w)
+    g_mean = np.sum(-g_c, axis=1, keepdims=True) * inv_w
+    assert np.array_equal(v.grad, (prev + g_c) + g_mean)
+    assert not np.array_equal(v.grad, prev + (g_c + g_mean))
 
 
 def test_determinism_bit_identical():
@@ -515,6 +540,10 @@ def _max_ties(datas):
 
 
 _PASSES = np.arange(12).reshape(3, 4) % 3 != 1
+_NODE = NodeId(1, 0)
+_ONE_NODE_TABLE = CostConstants(
+    SupernetSpec(), 32, 32, {_NODE: NodeCost(c_conv=3.0, c_up=0.5, c_keep=0.0, c_down=2.0)}, 0.0
+)
 
 OPS = [
     ("add", lambda a, b: ad.add(a, b), [(3, 4), (3, 4)], None),
@@ -549,9 +578,10 @@ OPS = [
     ),
     ("minimum", ad.minimum, [(3, 4), (3, 4)], _pairwise_ties),
     ("sum", ad.tsum, [(3, 4)], None),
-    ("sum_axis", lambda a: ad.sum_axis(a, 1), [(3, 4)], None),
+    ("standardize_rows", ad.standardize_rows, [(3, 5)], None),
     ("mean", ad.mean, [(3, 4)], None),
-    ("max_over_vector", lambda a: ad.max_over_vector(a, axis=-1), [(4, 3)], _max_ties),
+    # the max over a node's gates, billed at c_conv, plus the direction costs
+    ("network_cost", lambda a: network_cost({_NODE: a}, _ONE_NODE_TABLE), [(4, 3)], _max_ties),
     ("reshape", lambda a: ad.reshape(a, (6, 2)), [(3, 4)], None),
     ("transpose", lambda a: ad.transpose(a, (1, 0, 2)), [(2, 3, 2)], None),
     ("concat", lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)], None),

@@ -1,4 +1,4 @@
-"""Cost table values, node/network cost algebra, and oracle equivalence."""
+"""Cost table values, network cost algebra, and oracle equivalence."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,13 @@ import pytest
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor
 from dynroute.costmodel import (
+    CostConstants,
     NodeCost,
     binary_route_cost,
     compile_cost_table,
     conv1x1_madds,
     count_executed_madds,
     network_cost,
-    node_cost,
     sepconv3x3_madds,
 )
 from dynroute.errors import UsageError
@@ -22,6 +22,13 @@ SMALL_SPEC = SupernetSpec(
     num_layers=4, num_scales=3, channels_per_scale=(4, 8, 16),
     head_channels=8, in_channels=1,
 )
+
+
+def _one_node_cost(gates, nc: NodeCost, billed_conv: bool = False):
+    """network_cost of gates over a table holding the one node nc."""
+    node = NodeId(1, 0)
+    table = CostConstants(SMALL_SPEC, 32, 32, {node: nc}, router_madds=0.0)
+    return network_cost({node: gates}, table, billed_conv=billed_conv)
 
 
 def _random_binary_route(net, seed, open_prob=0.6):
@@ -79,28 +86,55 @@ class TestNodeCost:
     NC = NodeCost(c_conv=100.0, c_up=10.0, c_keep=0.0, c_down=20.0)
 
     def test_all_closed_is_zero(self):
-        assert float(node_cost(np.zeros(3), self.NC).data) == 0.0
+        assert float(_one_node_cost(np.zeros(3), self.NC).data) == 0.0
 
     def test_direct_formula(self):
-        got = float(node_cost(np.array([0.5, 0.0, 1.0]), self.NC).data)
+        got = float(_one_node_cost(np.array([0.5, 0.0, 1.0]), self.NC).data)
         assert got == 1.0 * 100.0 + 0.5 * 10.0 + 1.0 * 20.0
 
     def test_binary_gates_match_components(self):
-        got = float(node_cost(np.array([1.0, 1.0, 0.0]), self.NC).data)
+        got = float(_one_node_cost(np.array([1.0, 1.0, 0.0]), self.NC).data)
         assert got == 100.0 + 10.0 + 0.0
 
     def test_batched(self):
         g = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        got = node_cost(g, self.NC).data
+        got = _one_node_cost(g, self.NC).data
         np.testing.assert_array_equal(got, [0.0, 130.0])
 
     def test_gradient_structure(self):
         """dC/dg_d = c_d, plus c_conv on the unique max direction."""
         g = Tensor(np.array([[0.3, 0.7, 0.5]]), requires_grad=True)
         with Tape() as tape:
-            c = node_cost(g, self.NC)
+            c = _one_node_cost(g, self.NC)
             tape.backward(ad.tsum(c))
         np.testing.assert_allclose(g.grad, [[10.0, 100.0, 20.0]])
+
+    def test_tie_goes_to_first_valid_maximum(self):
+        """The conv gradient lands on the first of tied valid maxima; a
+        larger gate on an invalid direction takes no part."""
+        nc = NodeCost(c_conv=100.0, c_up=0.0, c_keep=0.0, c_down=20.0, valid=(False, True, True))
+        g = Tensor(np.array([[0.2, 0.5, 0.5], [0.9, 0.3, 0.3], [0.0, 0.1, 0.4]]), requires_grad=True)
+        with Tape() as tape:
+            c = _one_node_cost(g, nc)
+            tape.backward(ad.tsum(c))
+        np.testing.assert_array_equal(c.data, [50.0 + 10.0, 30.0 + 6.0, 40.0 + 8.0])
+        np.testing.assert_array_equal(g.grad, [[0.0, 100.0, 20.0], [0.0, 100.0, 20.0], [0.0, 0.0, 120.0]])
+
+    def test_gate_gradient_adds_direction_then_conv_term(self):
+        """A gate with a later consumer already holds that consumer's
+        gradient when the cost's arrives; the direction term A and then
+        the conv term B are added to it one at a time, (prev + A) + B, as
+        a chain of per-node ops would. A single summed input would give
+        prev + (A + B), which rounds differently here."""
+        prev, a, b = 0.1, 0.2, 0.3
+        assert (prev + a) + b != prev + (a + b)
+        nc = NodeCost(c_conv=b, c_up=0.0, c_keep=0.0, c_down=a)
+        g = Tensor(np.array([[0.1, 0.2, 0.9]]), requires_grad=True)
+        with Tape() as tape:
+            cost = ad.tsum(_one_node_cost(g, nc))
+            later = ad.tsum(ad.mul(g, Tensor(np.array([[0.0, 0.0, prev]]))))
+            tape.backward(ad.add(cost, later))
+        assert g.grad[0, 2].tobytes() == np.float64((prev + a) + b).tobytes()
 
 
 class TestNetworkCost:
@@ -234,7 +268,7 @@ class TestBillingAgreement:
         nc = NodeCost(c_conv=100.0, c_up=10.0, c_keep=0.0, c_down=20.0)
         g = Tensor(np.array([[0.01, 0.0, 0.02]]), requires_grad=True)
         with Tape() as tape:
-            c = node_cost(g, nc, billed_conv=True)
+            c = _one_node_cost(g, nc, billed_conv=True)
             tape.backward(ad.tsum(c))
         assert float(c.data[0]) == 100.0 + 0.01 * 10.0 + 0.02 * 20.0
         np.testing.assert_allclose(g.grad, [[10.0, 0.0, 120.0]])
@@ -245,7 +279,7 @@ class TestBillingAgreement:
         nc = NodeCost(c_conv=100.0, c_up=0.0, c_keep=0.0, c_down=20.0, valid=(False, True, True))
         g = Tensor(np.zeros((2, 3)), requires_grad=True)
         with Tape() as tape:
-            tape.backward(ad.tsum(node_cost(g, nc)))
+            tape.backward(ad.tsum(_one_node_cost(g, nc)))
         np.testing.assert_allclose(g.grad, [[0.0, 100.0, 20.0]] * 2)
 
 

@@ -124,6 +124,15 @@ def test_pgm_header_size_must_match_pixel_count(corpus_dir, w, h):
                 ("huge-integer-x", b"[1" + b"0" * 400 + b", 2, 3, 4, 0]"),
             ]
         ),
+        *(
+            pytest.param(
+                "annotations.jsonl", blob, lambda path: load_corpus(path.parent), DataError, id=name
+            )
+            for name, blob in [
+                ("duplicate-image-id", b'{"image_id": 0, "boxes": []}\n{"image_id": 0, "boxes": []}\n'),
+                ("boolean-image-id", b'{"image_id": 0, "boxes": []}\n{"image_id": true, "boxes": []}\n'),
+            ]
+        ),
     ],
 )
 def test_known_damage_raises_typed_error(tmp_path, name, blob, load, error):

@@ -106,16 +106,19 @@ class TestGlobalBudgetLoss:
             assert np.sign(-c.grad[0]) == np.sign(target - cnet)
 
     def test_two_gate_toy_net_finite_differences(self):
-        """Budget loss gradient through the node-cost algebra of a 2-node net."""
-        from dynroute.costmodel import NodeCost, node_cost
+        """Budget loss gradient through the network cost of a one-node table."""
+        from dynroute.costmodel import CostConstants, NodeCost, network_cost
+        from dynroute.supernet import NodeId, SupernetSpec
 
+        node = NodeId(1, 0)
         nc = NodeCost(c_conv=40.0, c_up=0.0, c_keep=0.0, c_down=10.0)
+        table = CostConstants(SupernetSpec(), 32, 32, {node: nc}, router_madds=0.0)
         g = Tensor(np.array([[0.4, 0.6, 0.2]]), requires_grad=True)
         target = Tensor(np.array([0.35]))
         c_tot = 100.0
 
         def loss_of(gates: Tensor):
-            c = node_cost(gates, nc)
+            c = network_cost({node: gates}, table)
             return global_budget_loss(ad.mul(c, Tensor(1.0 / c_tot)), target)
 
         with Tape() as tape:
