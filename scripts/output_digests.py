@@ -15,6 +15,18 @@ prints one line per artifact:
     <sha256 prefix>  <strategy>/cost_seed<k>.csv      cost-report per corpus
     <sha256 prefix>  <strategy>/route.dot, route.svg  export-route, one image
 
+and after those, per strategy, two lines for forced-route inference on
+the seed-0 eval corpus. Each image's route is a seeded draw of mixed
+density: every valid direction of every node opens with probability
+(k/m)^2, where the image's objects occupy k of the m scale intervals.
+The lines hash, image by image, the pyramid, the head outputs and the
+recorded gates and masks of Supernet.forward(mode="infer") plus
+DetectionHead.forward, run at batch 16 and at batch 1; a batch equals
+its batch-1 calls, so the two lines of a strategy agree:
+
+    <sha256 prefix>  <strategy>/forced_b16
+    <sha256 prefix>  <strategy>/forced_b1
+
 A change meant to keep outputs unchanged runs this at the parent commit
 and at the change and diffs the two outputs. It takes about half a minute
 on a 2-core host.
@@ -38,11 +50,18 @@ for _var in THREAD_VARS:  # before numpy loads BLAS
 os.environ.pop("DYNROUTE_SEED", None)  # it would override the corpus and train seeds
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
+from dynroute.autodiff import Tensor  # noqa: E402
 from dynroute.cli import main as dynroute  # noqa: E402
+from dynroute.data_synth import load_corpus  # noqa: E402
+from dynroute.head_loss import PyramidGeometry  # noqa: E402
+from dynroute.scale_budget import encode_scales  # noqa: E402
 from dynroute.trainer import load_model  # noqa: E402
 
 STRATEGIES = ("fixed", "loss_aware", "scale_dynamic")
 EVAL_SEEDS = (0, 1, 2)
+FORCED_BATCHES = (16, 1)
 
 
 def _digest(data: bytes) -> str:
@@ -61,6 +80,39 @@ def _write_config(path: Path, overrides: dict) -> str:
     return str(path)
 
 
+def _mixed_routes(model, corpus) -> dict:
+    """Per node, a seeded (N, 3) draw of open directions: each valid one
+    opens with probability (k/m)^2 for an image whose objects occupy k of
+    the m scale intervals."""
+    net, m = model.supernet, model.intervals.m
+    occupied = np.array(
+        [encode_scales(corpus.boxes_hw(i), model.intervals).sum() for i in range(len(corpus))]
+    )
+    p_open = (occupied / m) ** 2
+    rng = np.random.default_rng(0)
+    return {
+        n: ((rng.random((len(corpus), 3)) < p_open[:, None]) & net.node_masks[n]).astype(np.float64)
+        for n in net.nodes
+    }
+
+
+def _forced_route_digest(model, pixels: np.ndarray, routes: dict, batch: int) -> str:
+    """Hash, image by image, the pyramid, head outputs, gates and masks of
+    forced-route inference run batch images at a time."""
+    h = hashlib.sha256()
+    for start in range(0, len(pixels), batch):
+        forced = {n: r[start : start + batch] for n, r in routes.items()}
+        images = Tensor(pixels[start : start + batch])
+        pyramid, record = model.supernet.forward(images, mode="infer", forced_gates=forced)
+        pred = model.head.forward(pyramid, PyramidGeometry.from_pyramid(pyramid, *pixels.shape[2:]))
+        arrays = [t.data for t in pyramid + pred.cls_logits + pred.distances]
+        arrays += [a for n in record.node_ids for a in (record.gates[n], record.masks[n])]
+        for row in range(images.data.shape[0]):
+            for a in arrays:
+                h.update(np.ascontiguousarray(a[row]).tobytes())
+    return _digest(h.digest())
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -69,7 +121,9 @@ def main() -> int:
         for seed in EVAL_SEEDS:
             _run("gen-data", "--config", eval_cfg, "--seed", str(seed), "--out", str(root / f"eval{seed}"))
         image = str(root / "eval0" / "images" / "img_00000.pgm")
-
+        corpus = load_corpus(root / "eval0")
+        pixels = corpus.images.astype(np.float64)[:, None] / 255.0
+        forced_lines = []
         for strategy in STRATEGIES:
             run = root / strategy
             cfg = _write_config(root / f"{strategy}.json", {
@@ -94,6 +148,11 @@ def main() -> int:
                 artifacts.append((out.name, out.read_bytes()))
             for name, data in artifacts:
                 print(f"{_digest(data)}  {strategy}/{name}")
+            routes = _mixed_routes(model, corpus)
+            for batch in FORCED_BATCHES:
+                digest = _forced_route_digest(model, pixels, routes, batch)
+                forced_lines.append(f"{digest}  {strategy}/forced_b{batch}")
+        print("\n".join(forced_lines))
     return 0
 
 

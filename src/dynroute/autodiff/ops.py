@@ -180,8 +180,11 @@ def depthwise_separable_conv3x3(
         xp[:, :, 1 : 1 + H, 1 : 1 + W] = x_data
         g_dw = np.zeros_like(w_dw_data)
         gxp = np.zeros_like(xp)
-        for u in range(3):
-            for v in range(3):
+        # as in the forward, a tap that reads only padding adds nothing to
+        # gx; its g_dw column stays +0, the sum of its zero products but
+        # for the sign, which the tape's first-gradient + 0.0 drops
+        for u in _tap_offsets(H, oh):
+            for v in _tap_offsets(W, ow):
                 sl = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
                 g_dw[:, u, v] = (gt * sl).sum(axis=(0, 2, 3))
                 gxp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += (
@@ -274,6 +277,25 @@ def _upsample_axis_coeffs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return coeffs
 
 
+def _upsample_axis_grad(out: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> None:
+    """Add into out (last axis n) the gradients of the 2n upsampled
+    outputs through their lo and hi source taps (_upsample_axis_coeffs).
+
+    Output 0 reads sample 0 twice, outputs 2m-1 and 2m read m-1 and m,
+    and output 2n-1 reads n-1 twice. Each sample sums its gradients in the
+    order np.add.at would: first the lo taps by output index, then the hi
+    taps by output index.
+    """
+    n = out.shape[-1]
+    out[..., 0] += g_lo[..., 0]
+    out[..., :] += g_lo[..., 1::2]
+    out[..., : n - 1] += g_lo[..., 2::2]
+    out[..., 0] += g_hi[..., 0]
+    out[..., 1:] += g_hi[..., 1 : 2 * n - 2 : 2]
+    out[..., 1:] += g_hi[..., 2 : 2 * n - 1 : 2]
+    out[..., n - 1] += g_hi[..., 2 * n - 1]
+
+
 def bilinear_upsample_2x(x: Tensor) -> Tensor:
     """Double the spatial size with bilinear interpolation (align corners false)."""
     _require_nchw("bilinear_upsample_2x", x)
@@ -285,11 +307,11 @@ def bilinear_upsample_2x(x: Tensor) -> Tensor:
 
     def backward(g):
         gtmp = np.zeros((B, C, 2 * H, W))
-        np.add.at(gtmp, (slice(None), slice(None), slice(None), c0), g * wc0)
-        np.add.at(gtmp, (slice(None), slice(None), slice(None), c1), g * wc1)
+        _upsample_axis_grad(gtmp, g * wc0, g * wc1)
         gx = np.zeros((B, C, H, W))
-        np.add.at(gx, (slice(None), slice(None), r0), gtmp * wr0[:, None])
-        np.add.at(gx, (slice(None), slice(None), r1), gtmp * wr1[:, None])
+        _upsample_axis_grad(
+            gx.swapaxes(2, 3), (gtmp * wr0[:, None]).swapaxes(2, 3), (gtmp * wr1[:, None]).swapaxes(2, 3)
+        )
         return (gx,)
 
     return record((x,), out, backward)

@@ -33,15 +33,21 @@ a tape the channel contractions run as BLAS matmul, see autodiff/ops.py):
   (the stem feeds layer 1). A node with no live input is dropped: its
   gates are closed whatever its router says, it runs no conv block and
   it is not billed.
-* Infer mode records the resulting open masks and skips convs and
-  transforms per sample: a node's conv block runs only on the samples
-  with at least one open path out of it, and each up/down transform only
-  on the samples whose path in that direction is open. The results go
-  back to their rows of the batch; the other rows stay zero, so every
-  sample's features are bit-identical to running each conv on the whole
-  batch. Train mode runs the conv block on the whole batch and also runs
-  the transforms of closed paths at live nodes, so their gates still
-  receive gradient (a closed path's output is zero in the forward pass).
+* Infer mode records the resulting open masks and computes only the
+  rows a route reads: a node's conv block runs only on the samples with
+  at least one open path out of it, and each up/down transform only on
+  the samples whose path in that direction is open. A path's output
+  travels with its sample indices and goes back to its rows of the batch
+  (zeros elsewhere) only where the whole batch is read: at a router's
+  input and at the output projections. A node with forced gates builds
+  its input only on the rows its conv block runs on, and the stem runs
+  only on the samples node (1, 0) runs on, not at all when none does.
+  Every sample's features are bit-identical to running each conv on the
+  whole batch; a forced node's input may differ only in the sign of a
+  zero, which its conv cannot see. Train mode runs the conv block on the
+  whole batch and also runs the transforms of closed paths at live
+  nodes, so their gates still receive gradient (a closed path's output
+  is zero in the forward pass).
 
 The router pools its input, mixes channels, and standardizes the pooled
 vector of each sample (zero mean, unit variance over channels; one
@@ -71,6 +77,10 @@ from .errors import ConfigurationError, UsageError
 # each gate's direction and the scale offset of the node it feeds, in
 # gate column order (up, keep, down)
 DIRECTIONS = (("up", -1), ("keep", 0), ("down", 1))
+
+
+# a path's output and the sorted sample indices it holds (None: every sample)
+Part = tuple[np.ndarray | None, Tensor]
 
 
 class NodeId(NamedTuple):
@@ -171,6 +181,25 @@ def _scatter_rows(part: Tensor, rows: np.ndarray, batch: int) -> Tensor:
     full = np.zeros_like(part.data, shape=(batch,) + part.data.shape[1:])
     full[rows] = part.data
     return Tensor(full)
+
+
+def _sum_at_rows(contribs: list[Part], rows: np.ndarray, batch: int) -> Tensor:
+    """The sum of the contributions at the sorted sample indices rows, in
+    contribution order; a row a contribution lacks adds nothing to it."""
+    slot = np.full(batch, -1)
+    slot[rows] = np.arange(rows.size)
+    out = np.zeros((rows.size,) + contribs[0][1].data.shape[1:])
+    for r, t in contribs:
+        if r is None:
+            out += t.data[rows]
+            continue
+        at = slot[r]
+        held = at >= 0
+        if held.all():
+            out[at] += t.data
+        else:
+            out[at[held]] += t.data[held]
+    return Tensor(out)
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -300,26 +329,31 @@ class Supernet:
         spec = self.spec
         tau = spec.gate_threshold
         self._input_hw = (H, W)
-        stem_out = self.stem_forward(images)
 
         gates_np: dict[NodeId, np.ndarray] = {}
         masks_np: dict[NodeId, np.ndarray] = {}
         gate_tensors: dict[NodeId, Tensor] = {}
         # contributions flowing into the current layer, keyed by scale, and
-        # per sample how many open paths reach that scale
-        incoming: dict[int, list[Tensor]] = {0: [stem_out]}
+        # per sample how many open paths reach that scale; the stem feeds
+        # layer 1
+        incoming: dict[int, list[Part]] = {}
         open_in: dict[int, np.ndarray] = {0: np.ones(B)}
-        last_outputs: dict[int, Tensor] = {}
+        last_outputs: dict[int, Part] = {}
 
         for layer in range(1, spec.num_layers + 1):
-            next_incoming: dict[int, list[Tensor]] = {}
+            next_incoming: dict[int, list[Part]] = {}
             next_open: dict[int, np.ndarray] = {}
             for scale in range(min(layer, spec.num_scales)):
                 node = NodeId(layer, scale)
                 n_open = open_in.get(scale, np.zeros(B))
                 live = n_open > 0
-                x = self._node_input(node, incoming.get(scale, []), n_open)
-                pre, gates = self._node_gates(node, x, forced_gates)
+                contribs = incoming.get(scale, [])
+                # a router and the train path read the node's input on every
+                # sample; a forced gate in infer mode only on the block's rows
+                x = None
+                if mode == "train" or forced_gates is None or node not in forced_gates:
+                    x = self._node_input(node, images, contribs, n_open, None)
+                pre, gates = self._node_gates(node, x, B, forced_gates)
                 open_mask = binarize_gates(gates, tau) & live[:, None]
                 gates_np[node] = gates
                 masks_np[node] = open_mask
@@ -339,26 +373,31 @@ class Supernet:
                 runs = None
                 if mode == "infer" and B not in counts:
                     runs = np.flatnonzero(needed.any(axis=1))
-                y = self._sepconv(f"node.{node.layer}.{node.scale}.conv", ad.gather_rows(x, runs))
+                if x is None:
+                    x = self._node_input(node, images, contribs, n_open, runs)
+                else:
+                    x = ad.gather_rows(x, runs)
+                y = self._sepconv(f"node.{node.layer}.{node.scale}.conv", x)
                 for j, (direction, delta) in enumerate(DIRECTIONS):
                     if counts[j] == 0:
                         continue
+                    # infer sends the path on its open samples only (None: all)
+                    rows = None
+                    if mode == "infer" and counts[j] < B:
+                        rows = np.flatnonzero(needed[:, j])
+                    y_rows = y
+                    if rows is not None and rows.size < y.data.shape[0]:
+                        y_rows = ad.gather_rows(y, rows if runs is None else np.searchsorted(runs, rows))
                     if mode == "train":
                         g = ad.take(open_gates, (slice(None), slice(j, j + 1), None, None))
-                        feat = ad.mul(self._transform(node, direction, y), g)
-                    elif counts[j] == B:
-                        g = Tensor(gates_np[node][:, j].reshape(B, 1, 1, 1))
-                        feat = ad.mul(self._transform(node, direction, y), g)
                     else:
-                        sel = np.flatnonzero(needed[:, j])
-                        g = Tensor(gates_np[node][sel, j].reshape(-1, 1, 1, 1))
-                        y_sel = ad.gather_rows(y, sel if runs is None else np.searchsorted(runs, sel))
-                        feat = _scatter_rows(ad.mul(self._transform(node, direction, y_sel), g), sel, B)
+                        g = Tensor(gates[slice(None) if rows is None else rows, j].reshape(-1, 1, 1, 1))
+                    part = (rows, ad.mul(self._transform(node, direction, y_rows), g))
                     if direction == "keep" and layer == spec.num_layers:
-                        last_outputs[scale] = feat
+                        last_outputs[scale] = part
                     else:
                         target = scale + delta
-                        next_incoming.setdefault(target, []).append(feat)
+                        next_incoming.setdefault(target, []).append(part)
                         next_open[target] = next_open.get(target, np.zeros(B)) + open_mask[:, j]
             incoming = next_incoming
             open_in = next_open
@@ -372,18 +411,39 @@ class Supernet:
         )
         return pyramid, record
 
-    def _node_input(self, node: NodeId, contribs: list[Tensor], n_open: np.ndarray) -> Tensor:
-        """Mean of the open incoming paths per sample (zeros when none)."""
+    def _node_input(
+        self, node: NodeId, images: Tensor, contribs: list[Part], n_open: np.ndarray, rows: np.ndarray | None
+    ) -> Tensor:
+        """Mean of the open incoming paths (zeros when none) at the sorted
+        sample indices rows (None: every sample); layer 1 reads the stem.
+
+        On every sample, each contribution goes back to its rows of the
+        batch before the sums, so a router reads the bytes and memory
+        layout that running every transform on the whole batch would give.
+        On a subset, each row sums only the contributions that hold it, in
+        the same order: the same values but for the sign of a zero, which
+        no conv output sees (its taps add every product into a +0).
+        """
+        if node.layer == 1:
+            return self.stem_forward(ad.gather_rows(images, rows))
         B = n_open.shape[0]
-        if contribs:
-            x = contribs[0]
-            for extra in contribs[1:]:
-                x = ad.add(x, extra)
-            if np.all(n_open <= 1):
-                return x
-            scale = 1.0 / np.maximum(n_open, 1.0)
-            return ad.mul(x, Tensor(scale.reshape(B, 1, 1, 1)))
-        return Tensor(np.zeros(self._node_shape(node, B)))
+        if rows is None:
+            parts = [t if r is None else _scatter_rows(t, r, B) for r, t in contribs]
+        else:
+            n_open = n_open[rows]
+            if all(r is not None and np.array_equal(r, rows) for r, _ in contribs):
+                parts = [t for _, t in contribs]
+            else:
+                parts = [_sum_at_rows(contribs, rows, B)]
+        if not parts:
+            return Tensor(np.zeros(self._node_shape(node, B)))
+        x = parts[0]
+        for extra in parts[1:]:
+            x = ad.add(x, extra)
+        if np.all(n_open <= 1):
+            return x
+        scale = 1.0 / np.maximum(n_open, 1.0)
+        return ad.mul(x, Tensor(scale.reshape(-1, 1, 1, 1)))
 
     def _node_shape(self, node: NodeId, batch: int) -> tuple[int, int, int, int]:
         b, size = batch, self._scale_size(node.scale)
@@ -394,13 +454,13 @@ class Supernet:
         w = self._input_hw[1] // (8 * 2**scale)
         return h, w
 
-    def _node_gates(self, node, x, forced) -> tuple[Tensor, np.ndarray]:
+    def _node_gates(self, node, x, batch, forced) -> tuple[Tensor, np.ndarray]:
         """The tensor a gate's gradient flows into and the (B, 3) gates,
-        boundary-masked: max(0, tanh) of the router's, or the forced
+        boundary-masked: max(0, tanh) of the router's on x, or the forced
         array's, which take no gradient."""
         mask = self.node_masks[node]
         if forced is not None and node in forced:
-            gates = np.empty((x.data.shape[0], 3))
+            gates = np.empty((batch, 3))
             np.multiply(forced[node], mask, out=gates)
             return Tensor(gates), gates
         t = self.router_forward(node, x)
@@ -414,11 +474,13 @@ class Supernet:
             return ad.bilinear_upsample_2x(ad.conv2d_1x1(y, self.params[f"{base}.up_w"]))
         return ad.conv2d_1x1(y, self.params[f"{base}.down_w"], stride=2)
 
-    def _project(self, last_outputs: dict[int, Tensor], B: int, H: int, W: int) -> list[Tensor]:
+    def _project(self, last_outputs: dict[int, Part], B: int, H: int, W: int) -> list[Tensor]:
         pyramid: list[Tensor] = []
         for s in range(self.spec.num_scales):
             if s in last_outputs:
-                feat = last_outputs[s]
+                rows, feat = last_outputs[s]
+                if rows is not None:
+                    feat = _scatter_rows(feat, rows, B)
             else:
                 feat = Tensor(np.zeros(self._node_shape(NodeId(self.spec.num_layers, s), B)))
             pyramid.append(ad.conv2d_1x1(feat, self.params[f"proj.{s}.w"]))

@@ -314,6 +314,89 @@ def test_fused_relu_equals_the_where_relu_op_bytewise(stride):
                         assert all(g.tobytes() == w.tobytes() for g, w in zip(got_grads, want_grads))
 
 
+def _recorded_backward(monkeypatch, op, *args, **kwargs):
+    """The backward closure that op records, without a tape."""
+    closures = []
+    real = ops.record
+    monkeypatch.setattr(ops, "record", lambda inputs, out, bw: closures.append(bw) or real(inputs, out, bw))
+    op(*args, **kwargs)
+    monkeypatch.setattr(ops, "record", real)
+    return closures[0]
+
+
+def _add_at_upsample_backward(g, h, w):
+    """bilinear_upsample_2x's gradient as four np.add.at scatters."""
+    r0, r1, wr0, wr1 = ops._upsample_axis_coeffs(h)
+    c0, c1, wc0, wc1 = ops._upsample_axis_coeffs(w)
+    every = (slice(None), slice(None))
+    gtmp = np.zeros(g.shape[:2] + (2 * h, w))
+    np.add.at(gtmp, (*every, slice(None), c0), g * wc0)
+    np.add.at(gtmp, (*every, slice(None), c1), g * wc1)
+    gx = np.zeros(g.shape[:2] + (h, w))
+    np.add.at(gx, (*every, r0), gtmp * wr0[:, None])
+    np.add.at(gx, (*every, r1), gtmp * wr1[:, None])
+    return gx
+
+
+def test_upsample_backward_equals_the_add_at_scatter_bytewise(monkeypatch):
+    """The strided slice adds give np.add.at's bytes, signs of zero
+    included, at every map size from 1 to 8 and in the transposed layout
+    the op's output carries."""
+    rng = np.random.default_rng(23)
+    for h in range(1, 9):
+        for w in range(1, 9):
+            x = rng.normal(size=(2, 3, h, w))
+            backward = _recorded_backward(monkeypatch, ad.bilinear_upsample_2x, Tensor(x))
+            g = _with_signed_zeros(rng.normal(size=(2, 3, 2 * h, 2 * w)), rng)
+            for grad in (g, ad.bilinear_upsample_2x(Tensor(g[:, :, :h, :w])).data):
+                (got,) = backward(grad)
+                assert got.tobytes() == _add_at_upsample_backward(grad, h, w).tobytes()
+
+
+def _nine_tap_backward(gt, x, w_dw, stride):
+    """The depthwise half of the conv block's gradient over all nine taps."""
+    B, C, H, W = x.shape
+    oh, ow = gt.shape[2:]
+    xp = np.zeros((B, C, H + 2, W + 2))
+    xp[:, :, 1 : 1 + H, 1 : 1 + W] = x
+    g_dw = np.zeros_like(w_dw)
+    gxp = np.zeros_like(xp)
+    for u in range(3):
+        for v in range(3):
+            sl = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
+            g_dw[:, u, v] = (gt * sl).sum(axis=(0, 2, 3))
+            gxp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += (
+                w_dw[:, u, v][None, :, None, None] * gt
+            )
+    return gxp[:, :, 1 : 1 + H, 1 : 1 + W], g_dw
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_backward_skips_padding_taps_bytewise(monkeypatch, stride):
+    """The conv block's backward runs only the taps that read a sample, as
+    its forward does: gx, g_pw and g_b are the nine-tap bytes, and g_dw
+    is too after the + 0.0 the tape applies to a first gradient (a
+    skipped tap's column is +0 where the nine-tap sum may give -0)."""
+    rng = np.random.default_rng(29)
+    for batch in (1, 3):
+        for channels in (1, 4):
+            for hw in ((1, 1), (1, 5), (4, 1), (2, 2), (5, 6)):
+                x, w_dw, w_pw, b = _conv_block_case(batch, channels, hw, rng)
+                params = [Tensor(a) for a in (w_dw, w_pw, b)]
+                backward = _recorded_backward(
+                    monkeypatch, ad.depthwise_separable_conv3x3, Tensor(x), *params, stride=stride
+                )
+                oh, ow = ((n - 1) // stride + 1 for n in hw)
+                g = _with_signed_zeros(rng.normal(size=(batch, 5, oh, ow)), rng)
+                gx, g_dw, g_pw, g_b = backward(g)
+                want_gx, want_dw = _nine_tap_backward(np.einsum("oc,bohw->bchw", w_pw, g), x, w_dw, stride)
+                assert gx.tobytes() == want_gx.tobytes()
+                assert (g_dw + 0.0).tobytes() == (want_dw + 0.0).tobytes()
+                t = ops._depthwise_taps(x, w_dw, stride)
+                assert g_pw.tobytes() == np.einsum("bohw,bchw->oc", g, t).tobytes()
+                assert g_b.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+
+
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "minimum"])
 def test_elementwise_shape_mismatch_names_op_and_shapes(name):
     a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4,)))

@@ -307,6 +307,10 @@ class TestSampleSparseInfer:
     BATCH = 16
     ONE_SAMPLE = NodeId(4, 1)  # opened by sample 2 alone
     UP_DOWN = NodeId(5, 1)  # sample 3 opens only up, sample 4 only down
+    # NodeId(7, 1) sums a down, a keep and an up path whose row sets
+    # differ: sample 2 is in the first two, 3 in the last two, 4 in the
+    # first and last
+    FEEDS = ((NodeId(6, 0), 2, 3), (NodeId(6, 1), 1, 4), (NodeId(6, 2), 0, 2))
 
     def _routes(self, net, every_sample_node=None):
         rng = np.random.default_rng(11)
@@ -321,6 +325,8 @@ class TestSampleSparseInfer:
         g[self.ONE_SAMPLE][np.arange(self.BATCH) != 2] = 0.0
         g[self.UP_DOWN][3] = [0.6, 0.0, 0.0]
         g[self.UP_DOWN][4] = [0.0, 0.0, 0.6]
+        for node, j, closed in self.FEEDS:
+            g[node][closed, j] = 0.0
         if every_sample_node is not None:
             g[every_sample_node][:] = 0.5 * net.node_masks[every_sample_node]
             g[every_sample_node][::2, 2] = 0.0  # a sparse transform after a dense block
@@ -348,6 +354,9 @@ class TestSampleSparseInfer:
                 assert record.masks[every_sample_node][:, 2].sum() == self.BATCH // 2
             assert needed[self.ONE_SAMPLE].sum() == 1
             np.testing.assert_array_equal(record.masks[self.UP_DOWN][3:5], [[1, 0, 0], [0, 0, 1]])
+            feeds = [record.masks[node][:, j] for node, j, _closed in self.FEEDS]
+            assert [f[2:5].tolist() for f in feeds] == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+            assert needed[NodeId(7, 1)][2:5].all()
             for b in range(self.BATCH):
                 one = {n: g[b : b + 1] for n, g in forced.items()}
                 pyr_b, rec_b = net.forward(
@@ -386,12 +395,15 @@ class TestSampleSparseInfer:
             for j, d in ((0, "up"), (2, "down"))
             if (p := net.params.get(f"node.{n.layer}.{n.scale}.{d}_w")) is not None
         }
-        rows = {"block": 0, 0: 0, 2: 0}
+        stem = id(net.params["stem.0.pw_w"])
+        rows = {"stem": 0, "block": 0, 0: 0, 2: 0}
         sepconv, conv1x1 = ad.depthwise_separable_conv3x3, ad.conv2d_1x1
 
         def counted_sepconv(x, w_dw, w_pw, b_pw=None, stride=1, **kwargs):
             if id(w_pw) in block:
                 rows["block"] += x.data.shape[0]
+            elif id(w_pw) == stem:
+                rows["stem"] += x.data.shape[0]
             return sepconv(x, w_dw, w_pw, b_pw, stride=stride, **kwargs)
 
         def counted_conv1x1(x, w, stride=1):
@@ -405,10 +417,18 @@ class TestSampleSparseInfer:
             _images(DESK_SPEC, self.BATCH, seed=12), mode="infer", forced_gates=self._routes(net)
         )
         masks = [record.masks[n] for n in net.nodes]
+        assert rows["stem"] == int(record.masks[NodeId(1, 0)].any(axis=1).sum()) < self.BATCH
         assert rows["block"] == sum(int(m.any(axis=1).sum()) for m in masks)
         assert rows["block"] < self.BATCH * len(net.nodes)
         for j in (0, 2):
             assert rows[j] == sum(int(m[:, j].sum()) for m in masks)
+
+        rows.update({"stem": 0, "block": 0, 0: 0, 2: 0})
+        closed = {n: np.zeros((4, 3)) for n in net.nodes}
+        pyramid, record = net.forward(_images(DESK_SPEC, 4, seed=13), mode="infer", forced_gates=closed)
+        assert rows == {"stem": 0, "block": 0, 0: 0, 2: 0}
+        assert not any(m.any() for m in record.masks.values())
+        assert not any(level.data.any() for level in pyramid)
 
 
 def _live_rows(net, record, node):
