@@ -15,17 +15,20 @@ prints one line per artifact:
     <sha256 prefix>  <strategy>/cost_seed<k>.csv      cost-report per corpus
     <sha256 prefix>  <strategy>/route.dot, route.svg  export-route, one image
 
-and after those, per strategy, two lines for forced-route inference on
+and after those, per strategy, three lines for forced-route inference on
 the seed-0 eval corpus. Each image's route is a seeded draw of mixed
 density: every valid direction of every node opens with probability
 (k/m)^2, where the image's objects occupy k of the m scale intervals.
 The lines hash, image by image, the pyramid, the head outputs and the
 recorded gates and masks of Supernet.forward(mode="infer") plus
-DetectionHead.forward, run at batch 16 and at batch 1; a batch equals
-its batch-1 calls, so the two lines of a strategy agree:
+DetectionHead.forward, run at batch 16, at batch 1, and at batch 1 once
+more in the same process, with the head's zero-level memo filled; a batch
+equals its batch-1 calls and the memo holds what the towers compute, so
+the three lines of a strategy agree:
 
     <sha256 prefix>  <strategy>/forced_b16
     <sha256 prefix>  <strategy>/forced_b1
+    <sha256 prefix>  <strategy>/forced_b1_warm
 
 A change meant to keep outputs unchanged runs this at the parent commit
 and at the change and diffs the two outputs. It takes about half a minute
@@ -61,7 +64,7 @@ from dynroute.trainer import load_model  # noqa: E402
 
 STRATEGIES = ("fixed", "loss_aware", "scale_dynamic")
 EVAL_SEEDS = (0, 1, 2)
-FORCED_BATCHES = (16, 1)
+FORCED_RUNS = (("b16", 16), ("b1", 1), ("b1_warm", 1))
 
 
 def _digest(data: bytes) -> str:
@@ -149,9 +152,9 @@ def main() -> int:
             for name, data in artifacts:
                 print(f"{_digest(data)}  {strategy}/{name}")
             routes = _mixed_routes(model, corpus)
-            for batch in FORCED_BATCHES:
+            for name, batch in FORCED_RUNS:
                 digest = _forced_route_digest(model, pixels, routes, batch)
-                forced_lines.append(f"{digest}  {strategy}/forced_b{batch}")
+                forced_lines.append(f"{digest}  {strategy}/forced_{name}")
         print("\n".join(forced_lines))
     return 0
 

@@ -7,17 +7,23 @@ predicting per-location class logits and four box-edge distances
 (left, top, right, bottom). Distances come out of an exp activation
 scaled by the level stride, so they are always positive.
 
-At inference (no tape recording) the head computes the all-zero rows of
-a pyramid level once. A sample whose route closed every path into a
-scale has all-zero features there; when a level holds at least two such
-samples, the towers and predictors run on the nonzero samples plus one
-zero sample, and every zero sample's logits and distances are copies of
-that sample's. A sample's head arithmetic does not depend on the rest of
+At inference (no tape recording) the head computes an all-zero level's
+outputs once per parameter state. A sample whose route closed every path
+into a scale has all-zero features there. The head keeps a memo of the
+zero-input outputs (one row of logits and one of distances) keyed by the
+level's feature shape (C, H, W) and stride: a level's zero rows are
+copies of the memo row, and the towers and predictors run only on its
+nonzero rows, or not at all. A missing entry is filled from one zero row
+run beside the nonzero ones. The memo holds while every head parameter
+is byte-equal to the snapshot taken when it was started; any difference
+(an optimizer step, load_state, an in-place edit, even +0.0 to -0.0)
+empties it. A sample's head arithmetic does not depend on the rest of
 the batch, so the outputs equal those of running each sample alone
-without a tape, bit for bit. Under a tape, and at batch 1, the whole
-batch runs; a taped run contracts channels with einsum instead of
-matmul (see autodiff/ops.py), so it agrees with a tapeless one within
-rounding (acceptance criterion 4).
+without a tape, bit for bit, at batch 1 as at batch 16. Under a tape the
+whole batch runs and the memo is neither read nor filled; a taped run
+contracts channels with einsum instead of matmul (see autodiff/ops.py),
+so it agrees with a tapeless one within rounding (acceptance
+criterion 4).
 
 Target assignment is interval-based: a box belongs to the pyramid level
 whose object-scale interval contains its longest side, and every
@@ -122,6 +128,10 @@ class DetectionHead:
         self._add("head.cls_pred.b", np.full(num_classes, bias))
         self._add("head.reg_pred.w", rng.normal(0.0, 0.01, (4, hc)))
         self._add("head.reg_pred.b", np.zeros(4))
+        # tapeless outputs of an all-zero level by ((C, H, W), stride), computed
+        # with the parameter bytes in _memo_params
+        self._zero_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._memo_params: tuple[bytes, ...] = ()
 
     def _add(self, name, data):
         self.params[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
@@ -138,23 +148,51 @@ class DetectionHead:
         return x
 
     def forward(self, pyramid: list[Tensor], geometry: PyramidGeometry) -> DensePrediction:
-        cls_logits: list[Tensor] = []
-        distances: list[Tensor] = []
-        # with no tape recording no gradient flows through the head, so a
-        # level may share one zero row's outputs among all its zero rows
-        tapeless = ad.active_tape() is None
-        for level, feat in enumerate(pyramid):
-            runs, source = _shared_zero_rows(feat) if tapeless else (None, None)
-            x = ad.gather_rows(feat, runs)
-            c = self._tower("cls", x)
-            r = self._tower("reg", x)
-            logits = self._pred("cls_pred", c)
-            raw = self._pred("reg_pred", r)
-            # clamp keeps exp finite; +-8 spans 0.0003..3000 strides
-            dist = ad.mul(ad.exp(ad.clamp(raw, -8.0, 8.0)), Tensor(geometry.strides[level]))
-            cls_logits.append(ad.gather_rows(logits, source))
-            distances.append(ad.gather_rows(dist, source))
-        return DensePrediction(cls_logits=cls_logits, distances=distances)
+        if ad.active_tape() is None:
+            params = tuple(p.data.tobytes() for p in self.params.values())
+            if params != self._memo_params:
+                self._zero_memo.clear()
+                self._memo_params = params
+            level = self._tapeless_level
+        else:
+            level = self._level
+        outs = [level(feat, stride) for feat, stride in zip(pyramid, geometry.strides)]
+        return DensePrediction(
+            cls_logits=[logits for logits, _ in outs], distances=[dist for _, dist in outs]
+        )
+
+    def _level(self, x: Tensor, stride: float) -> tuple[Tensor, Tensor]:
+        c = self._tower("cls", x)
+        r = self._tower("reg", x)
+        logits = self._pred("cls_pred", c)
+        raw = self._pred("reg_pred", r)
+        # clamp keeps exp finite; +-8 spans 0.0003..3000 strides
+        return logits, ad.mul(ad.exp(ad.clamp(raw, -8.0, 8.0)), Tensor(stride))
+
+    def _tapeless_level(self, feat: Tensor, stride: float) -> tuple[Tensor, Tensor]:
+        """The level's nonzero rows through the towers, its zero rows
+        copied from the memo (filled from one zero row on a miss)."""
+        zero = ~feat.data.any(axis=(1, 2, 3))
+        if not zero.any():
+            return self._level(feat, stride)
+        key = (feat.data.shape[1:], stride)
+        memo = self._zero_memo.get(key)
+        runs = ~zero
+        if memo is None:
+            first = int(np.argmax(zero))
+            runs[first] = True
+        ran = self._level(ad.gather_rows(feat, np.flatnonzero(runs)), stride) if runs.any() else None
+        if memo is None:
+            at = np.count_nonzero(runs[:first])
+            memo = self._zero_memo[key] = tuple(t.data[at : at + 1].copy() for t in ran)
+        outs = []
+        for i, row in enumerate(memo):
+            out = np.empty((zero.size,) + row.shape[1:])
+            if ran is not None:
+                out[runs] = ran[i].data
+            out[zero] = row
+            outs.append(Tensor(out))
+        return tuple(outs)
 
     def _pred(self, name: str, x: Tensor) -> Tensor:
         out = ad.conv2d_1x1(x, self.params[f"head.{name}.w"])
@@ -166,22 +204,6 @@ class DetectionHead:
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         ad.load_params(self.params, arrays)
-
-
-def _shared_zero_rows(x: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Rows of x to run and, per sample, the row of their output that
-    holds its result, when at least two samples of x are all zero: every
-    nonzero sample runs, the first zero sample stands for the others.
-    (None, None) otherwise: the whole batch runs."""
-    zero = ~x.data.any(axis=(1, 2, 3))
-    if np.count_nonzero(zero) < 2:
-        return None, None
-    first = int(np.argmax(zero))
-    runs = ~zero
-    runs[first] = True
-    source = np.cumsum(runs) - 1
-    source[zero] = source[first]
-    return np.flatnonzero(runs), source
 
 
 @dataclass

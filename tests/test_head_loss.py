@@ -17,6 +17,7 @@ from dynroute.head_loss import (
     total_loss,
 )
 from dynroute.scale_budget import ScaleIntervals
+from dynroute.trainer import SgdMomentum
 
 INTERVALS = ScaleIntervals((8.0, 16.0, 32.0))
 
@@ -35,6 +36,19 @@ def _pyramid(batch=1, channels=8, seed=0):
         Tensor(rng.normal(size=(batch, channels, h, w)))
         for (h, w) in [(8, 8), (4, 4), (2, 2), (1, 1), (1, 1)]
     ]
+
+
+def _count_tower_rows(monkeypatch):
+    """The batch size of every tower conv call from now on."""
+    rows = []
+    sepconv = ad.depthwise_separable_conv3x3
+
+    def counted(x, *args, **kwargs):
+        rows.append(x.data.shape[0])
+        return sepconv(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "depthwise_separable_conv3x3", counted)
+    return rows
 
 
 class TestHeadForward:
@@ -78,7 +92,8 @@ class TestHeadForward:
 
 
 class TestSparseHead:
-    """With no tape recording, a level's all-zero rows run once."""
+    """With no tape recording, a level's all-zero rows run once per
+    parameter state."""
 
     BATCH = 6
 
@@ -91,31 +106,23 @@ class TestSparseHead:
             t.data[rng.permutation(self.BATCH)[:zero_rows]] = 0.0
         return pyramid
 
-    @staticmethod
-    def _count_tower_rows(monkeypatch):
-        rows = []
-        sepconv = ad.depthwise_separable_conv3x3
-
-        def counted(x, *args, **kwargs):
-            rows.append(x.data.shape[0])
-            return sepconv(x, *args, **kwargs)
-
-        monkeypatch.setattr(ad, "depthwise_separable_conv3x3", counted)
-        return rows
-
     @pytest.mark.parametrize("zero_rows", [0, 1, 2, 5, 6])
     def test_outputs_equal_full_batch_run(self, monkeypatch, zero_rows):
         head = DetectionHead(8, num_classes=3, seed=4)
         pyramid = self._zeroed_pyramid(zero_rows)
-        rows = self._count_tower_rows(monkeypatch)
+        rows = _count_tower_rows(monkeypatch)
         pred = head.forward(pyramid, _geometry())
         sparse_rows, rows[:] = list(rows), []
         with Tape():  # a recording tape makes the head run the full batch
             full = head.forward(pyramid, _geometry())
         assert rows == [self.BATCH] * len(rows)
-        want = self.BATCH - zero_rows + 1 if zero_rows >= 2 else self.BATCH
+        # a fresh head runs each level's nonzero rows plus one zero row that
+        # fills the memo; level 4 has level 3's (C, H, W) and stride, so it
+        # reads that entry and runs no zero row (and no tower when all are zero)
+        fills = [1, 1, 1, 1, 0] if zero_rows else [0] * len(pyramid)
+        want = [self.BATCH - zero_rows + fill for fill in fills]
         # two towers of depth 2 per level
-        assert sparse_rows == [want] * (4 * len(pyramid))
+        assert sparse_rows == [n for n in want if n for _ in range(4)]
         outputs = pred.cls_logits + pred.distances
         # tapeless runs match their batch-1 runs bit for bit; the taped run
         # contracts channels with another kernel, so it matches within rounding
@@ -132,10 +139,11 @@ class TestSparseHead:
         pyramid = _pyramid(self.BATCH, seed=3)
         for t, zero_rows in zip(pyramid, ([], [4], [0, 5], [1, 2, 3, 4, 5], [0, 2, 4])):
             t.data[zero_rows] = 0.0
-        rows = self._count_tower_rows(monkeypatch)
+        rows = _count_tower_rows(monkeypatch)
         pred = head.forward(pyramid, _geometry())
-        # first tower call per level: nonzero rows + 1 from two zero rows on
-        assert rows[::4] == [6, 6, 5, 2, 4]
+        # first tower call per level: nonzero rows, plus one zero row where
+        # the memo misses; level 4 reads the entry level 3 filled
+        assert rows[::4] == [6, 6, 5, 2, 3]
         for b in range(self.BATCH):
             alone = head.forward([Tensor(t.data[b : b + 1]) for t in pyramid], _geometry())
             for got, ref in zip(pred.cls_logits + pred.distances, alone.cls_logits + alone.distances):
@@ -143,13 +151,13 @@ class TestSparseHead:
 
     def test_tape_runs_full_batch_with_full_batch_gradients(self, monkeypatch):
         """Plain pyramid Tensors under a tape still train the head's
-        parameters, so the head must not share zero rows there."""
+        parameters, so the head must not copy zero rows there."""
         pyramid = self._zeroed_pyramid(zero_rows=4, seed=2)
         grads = []
         for requires_grad in (True, False):
             head = DetectionHead(8, num_classes=2, seed=3)
             inputs = [Tensor(t.data, requires_grad=requires_grad) for t in pyramid]
-            rows = self._count_tower_rows(monkeypatch)
+            rows = _count_tower_rows(monkeypatch)
             with Tape() as tape:
                 pred = head.forward(inputs, _geometry())
                 loss = ad.add(
@@ -162,6 +170,134 @@ class TestSparseHead:
             grads.append({k: p.grad for k, p in head.params.items()})
         for name, grad in grads[0].items():
             assert grads[1][name] is not None
+            assert np.array_equal(grads[1][name], grad), name
+
+
+class TestZeroMemo:
+    """Tapeless zero-level outputs are computed once per parameter state."""
+
+    @staticmethod
+    def _mixed_pyramid(batch=1):
+        """Level 0 nonzero, every other level all zero."""
+        pyramid = _pyramid(batch, seed=6)
+        for t in pyramid[1:]:
+            t.data[:] = 0.0
+        return pyramid
+
+    @staticmethod
+    def _assert_same_bytes(pred, ref):
+        for got, want in zip(pred.cls_logits + pred.distances, ref.cls_logits + ref.distances):
+            assert got.data.shape == want.data.shape
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.data.flags.c_contiguous
+
+    @staticmethod
+    def _fresh_copy(head):
+        fresh = DetectionHead(8, num_classes=3, seed=9)
+        fresh.load_state(head.state_arrays())
+        return fresh
+
+    def test_warm_batch1_call_runs_only_nonzero_levels(self, monkeypatch):
+        head = DetectionHead(8, num_classes=3, seed=4)
+        pyramid = self._mixed_pyramid()
+        head.forward(pyramid, _geometry())
+        rows = _count_tower_rows(monkeypatch)
+        pred = head.forward(pyramid, _geometry())
+        assert rows == [1] * 4  # level 0's two towers of depth 2, nothing else
+        monkeypatch.undo()
+        self._assert_same_bytes(pred, DetectionHead(8, num_classes=3, seed=4).forward(pyramid, _geometry()))
+
+    def test_all_zero_level_runs_no_tower_op(self, monkeypatch):
+        head = DetectionHead(8, num_classes=3, seed=4)
+        zeros = [Tensor(np.zeros((5, 8, 4, 4)))]
+        geometry = PyramidGeometry(image_h=64, image_w=64, sizes=[(4, 4)], strides=[16.0])
+        head.forward([Tensor(np.zeros((1, 8, 4, 4)))], geometry)
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for op in ("depthwise_separable_conv3x3", "conv2d_1x1", "add", "clamp", "exp", "mul"):
+            monkeypatch.setattr(ad, op, counting(op, getattr(ad, op)))
+        pred = head.forward(zeros, geometry)
+        assert calls == []
+        monkeypatch.undo()
+        self._assert_same_bytes(pred, DetectionHead(8, num_classes=3, seed=4).forward(zeros, geometry))
+
+    @staticmethod
+    def _sgd_step(head, pyramid):
+        with Tape() as tape:
+            pred = head.forward([Tensor(t.data) for t in pyramid], _geometry())
+            loss = ad.add(ad.tsum(pred.cls_logits[0]), ad.tsum(pred.distances[1]))
+            tape.backward(loss)
+        SgdMomentum(head.params, momentum=0.9, weight_decay=1e-4).step(lr=0.01)
+
+    @pytest.mark.parametrize("edit", ["tower_weight", "bias_sign", "load_state", "sgd_step"])
+    def test_parameter_change_empties_the_memo(self, monkeypatch, edit):
+        head = DetectionHead(8, num_classes=3, seed=4)
+        pyramid = self._mixed_pyramid(batch=2)
+        pyramid[2].data[1] = 1.0  # level 2 also has one nonzero row
+        head.forward(pyramid, _geometry())
+        before = head.state_arrays()
+        if edit == "tower_weight":
+            head.params["head.reg_tower.1.pw_w"].data[2, 3] += 0.25
+        elif edit == "bias_sign":
+            bias = head.params["head.cls_tower.0.pw_b"].data
+            assert bias[0] == 0.0 and not np.signbit(bias[0])
+            bias[0] = -0.0  # equal as a float, not as bytes
+        elif edit == "load_state":
+            head.load_state(DetectionHead(8, num_classes=3, seed=5).state_arrays())
+        else:
+            self._sgd_step(head, pyramid)
+        assert any(a.tobytes() != before[k].tobytes() for k, a in head.state_arrays().items())
+        rows = _count_tower_rows(monkeypatch)
+        pred = head.forward(pyramid, _geometry())
+        # levels 1-4 refill the memo from one zero row (level 4 reads level
+        # 3's entry); level 0 runs its two rows
+        assert rows == [2] * 4 + [1] * 4 + [2] * 4 + [1] * 4
+        monkeypatch.undo()
+        self._assert_same_bytes(pred, self._fresh_copy(head).forward(pyramid, _geometry()))
+
+    def test_strides_keep_separate_entries(self, monkeypatch):
+        head = DetectionHead(8, num_classes=3, seed=4)
+        zeros = [Tensor(np.zeros((1, 8, 2, 2)))]
+        geometries = [
+            PyramidGeometry(image_h=h, image_w=h, sizes=[(2, 2)], strides=[h / 2])
+            for h in (16, 32)
+        ]
+        rows = _count_tower_rows(monkeypatch)
+        preds = [head.forward(zeros, g) for g in geometries + geometries]
+        assert rows == [1] * 8  # one fill per stride, then two memo reads
+        monkeypatch.undo()
+        assert np.array_equal(preds[1].distances[0].data, 2.0 * preds[0].distances[0].data)
+        for pred, geometry in zip(preds, geometries + geometries):
+            self._assert_same_bytes(pred, DetectionHead(8, num_classes=3, seed=4).forward(zeros, geometry))
+
+    def test_taped_forward_neither_reads_nor_fills(self, monkeypatch):
+        pyramid = self._mixed_pyramid(batch=3)
+        grads = []
+        for warm in (False, True):
+            head = DetectionHead(8, num_classes=3, seed=4)
+            if warm:
+                head.forward(pyramid, _geometry())
+            rows = _count_tower_rows(monkeypatch)
+            with Tape() as tape:
+                pred = head.forward(pyramid, _geometry())
+                loss = ad.add(ad.tsum(pred.cls_logits[3]), ad.tsum(pred.distances[4]))
+                tape.backward(loss)
+            assert rows == [3] * 20
+            grads.append({k: p.grad for k, p in head.params.items()})
+            rows[:] = []
+            head.forward(pyramid, _geometry())
+            # warm: every zero level reads the memo; cold: the taped run left
+            # it empty, so levels 1-3 each fill it from one zero row
+            assert rows == [3] * 4 + ([] if warm else [1] * 12)
+            monkeypatch.undo()
+        for name, grad in grads[0].items():
             assert np.array_equal(grads[1][name], grad), name
 
 

@@ -341,8 +341,8 @@ class TestSampleSparseInfer:
             pyramid, record = net.forward(imgs, mode="infer", forced_gates=forced)
             geometry = PyramidGeometry.from_pyramid(pyramid, *imgs.data.shape[2:])
             pred = head.forward(pyramid, geometry)
-            # every level has zero rows (sample 0's among them) for the
-            # head to share
+            # every level has zero rows (sample 0's among them), which the
+            # head copies from its memo
             zero = [~t.data.any(axis=(1, 2, 3)) for t in pyramid]
             assert all(z[0] and z.sum() >= 2 for z in zero)
             needed = {n: record.masks[n].any(axis=1) for n in net.nodes}

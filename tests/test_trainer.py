@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dynroute.config import load_config, train_config_from
+from dynroute.config import load_config, synth_config_from, train_config_from
 from dynroute.data_synth import Corpus, SynthConfig, generate_corpus
 from dynroute.errors import ConfigurationError
+from dynroute.head_loss import DetectionHead
 from dynroute.scale_budget import ScaleIntervals
 from dynroute.supernet import SupernetSpec
 from dynroute.trainer import (
@@ -16,6 +17,9 @@ from dynroute.trainer import (
     TrainingAborted,
     evaluate_routing,
     group_cosine_stats,
+    load_model,
+    model_from_config,
+    save_model,
     spearman,
     train,
 )
@@ -186,6 +190,38 @@ class TestEvaluateRouting:
         a = evaluate_routing(model, corpus64)
         b = evaluate_routing(model, corpus64)
         assert a.to_csv() == b.to_csv()
+
+    def test_eval_after_training_equals_eval_of_its_checkpoint(self, tmp_path, monkeypatch):
+        """The head's zero-level memo, filled by an eval before training,
+        is emptied by the optimizer steps: an eval in the same process
+        writes the bytes of an eval of the saved and reloaded state."""
+        zero_rows = []
+        head_forward = DetectionHead.forward
+
+        def counted(head, pyramid, geometry):
+            zero_rows.append(sum(int((~t.data.any(axis=(1, 2, 3))).sum()) for t in pyramid))
+            return head_forward(head, pyramid, geometry)
+
+        monkeypatch.setattr(DetectionHead, "forward", counted)
+        config = load_config(None)
+        config["supernet"].update(num_layers=4, channels_per_scale=[4, 8, 16, 32], head_channels=8)
+        config["data"].update(num_images=16, seed=3)
+        config["train"].update(epochs=1, batch_size=4, lr_drop_epochs=[], seed=3, pretrain_epochs=1)
+        corpus = generate_corpus(synth_config_from(config))
+        model = model_from_config(config)
+        before = evaluate_routing(model, corpus).to_csv()
+        untrained_zero_rows = sum(zero_rows)
+        train(model, train_config_from(config), corpus)
+        zero_rows.clear()
+        after = evaluate_routing(model, corpus).to_csv()
+        save_model(tmp_path / "model.ckpt", model, config)
+        loaded, _ = load_model(tmp_path / "model.ckpt")
+        assert evaluate_routing(loaded, corpus).to_csv() == after
+        assert after != before
+        # both evals of the trained state read zero levels, as the untrained
+        # eval that filled the memo did
+        assert untrained_zero_rows > 0
+        assert len(zero_rows) == 2 and zero_rows[0] == zero_rows[1] > 0
 
 
 class TestStatistics:
