@@ -13,6 +13,12 @@ Conventions:
     broadcast axes (see _unbroadcast)
   * take is the one tracked gather: it accepts any numpy index key and
     returns a copy, never a view
+  * the generic ops here serve several formulas; a formula with an op of
+    its own (standardize_rows here; the focal and IoU terms in head_loss,
+    the path-similarity loss, the network cost in costmodel) repeats the
+    float steps of the generic chain it replaced, so results do not
+    change, and ops outside this module call record through the module
+    at call time, so tools that wrap it see them
 """
 
 from __future__ import annotations
@@ -190,23 +196,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record((a, b), out, backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcasting("div", np.divide, a, b)
-    a_data, b_data = a.data, b.data
-
-    def backward(g):
-        return (
-            _unbroadcast(g / b_data, a_data.shape),
-            _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape),
-        )
-
-    return record((a, b), out, backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    return record((a,), -a.data, lambda g: (-g,))
-
-
 def square(a: Tensor) -> Tensor:
     a_data = a.data
     return record((a,), a_data * a_data, lambda g: (2.0 * a_data * g,))
@@ -220,24 +209,6 @@ def exp(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return record((a,), out, lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # 0.5 * (tanh(x/2) + 1) is stable for large |x|
-    out = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
-    return record((a,), out, lambda g: (g * out * (1.0 - out),))
-
-
-def log_sigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)), stable at both tails."""
-    x = a.data
-    out = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-
-    def backward(g):
-        # d/dx log sigmoid(x) = sigmoid(-x)
-        return (g * 0.5 * (np.tanh(-0.5 * x) + 1.0),)
-
-    return record((a,), out, backward)
 
 
 def straight_through(a: Tensor, value, passes: np.ndarray | None = None) -> Tensor:
@@ -260,19 +231,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     # bound can still move; strictly outside the bound it is cut
     mask = (a.data >= lo) & (a.data <= hi)
     return record((a,), out, lambda g: (g * mask,))
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    take_a = _broadcasting("minimum", np.less_equal, a, b)  # ties route to the first argument
-    out = np.where(take_a, a.data, b.data)
-
-    def backward(g):
-        return (
-            _unbroadcast(g * take_a, a.data.shape),
-            _unbroadcast(g * ~take_a, b.data.shape),
-        )
-
-    return record((a, b), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +280,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-    return record(
-        (a,), np.transpose(a.data, axes), lambda g: (np.transpose(g, inverse),)
-    )
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     datas = [t.data for t in tensors]
     out = np.concatenate(datas, axis=axis)
@@ -364,28 +315,3 @@ def take(a: Tensor, index) -> Tensor:
         return (grad,)
 
     return record((a,), out, backward)
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine of two 1-D vectors; defined as 0 with zero gradient when
-    either vector has zero norm."""
-    if u.data.shape != v.data.shape or u.data.ndim != 1:
-        raise ConfigurationError(
-            f"cosine_similarity: expected equal 1-D shapes, got {u.data.shape} "
-            f"and {v.data.shape}"
-        )
-    ud, vd = u.data, v.data
-    nu = float(np.linalg.norm(ud))
-    nv = float(np.linalg.norm(vd))
-    if nu == 0.0 or nv == 0.0:
-        return record(
-            (u, v), np.float64(0.0), lambda g: (np.zeros_like(ud), np.zeros_like(vd))
-        )
-    cos = float(ud @ vd) / (nu * nv)
-
-    def backward(g):
-        gu = g * (vd / (nu * nv) - cos * ud / (nu * nu))
-        gv = g * (ud / (nu * nv) - cos * vd / (nv * nv))
-        return gu, gv
-
-    return record((u, v), np.float64(cos), backward)

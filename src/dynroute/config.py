@@ -112,6 +112,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"train.seed must be >= 0, got {self.seed}")
         for key in (
             "weight_decay", "regularizer_warmup_epochs", "ramp_steps", "pretrain_epochs",
             "clip_grad_norm", "lr_warmup_steps",
@@ -174,6 +176,8 @@ def load_config(path: str | None) -> dict:
             seed = int(env_seed)
         except ValueError as exc:
             raise ConfigurationError(f"DYNROUTE_SEED must be an integer, got {env_seed!r}") from exc
+        if seed < 0:
+            raise ConfigurationError(f"DYNROUTE_SEED must be >= 0, got {env_seed!r}")
         config["data"]["seed"] = seed
         config["train"]["seed"] = seed
     supernet_spec_from(config).validate()

@@ -34,6 +34,7 @@ DEFAULT_SCALE_MIX: tuple[tuple[tuple[int, ...], float], ...] = (
 
 BACKGROUND = 0.08
 NUM_CLASSES = 2  # rectangle, disc
+SHAPES_PER_INTERVAL = 2  # draw 1..this many objects per occupied interval
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class SynthConfig:
     noise: float = 0.02
     seed: int = 7
     boundaries: tuple[float, ...] = (8.0, 16.0, 32.0)
-    shapes_per_interval: int = 2  # draw 1..this many objects per occupied interval
 
     def validate(self) -> ScaleIntervals:
         if self.image_size < 8:
@@ -53,6 +53,8 @@ class SynthConfig:
             raise ConfigurationError(f"num_images must be >= 1, got {self.num_images}")
         if not self.noise >= 0:
             raise ConfigurationError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigurationError(f"data.seed must be >= 0, got {self.seed}")
         intervals = ScaleIntervals(tuple(float(b) for b in self.boundaries))
         m = intervals.m
         weight_sum = 0.0
@@ -116,9 +118,7 @@ def generate_corpus(config: SynthConfig) -> Corpus:
     for idx in range(config.num_images):
         pattern = pattern_list[choices[idx]]
         rng = np.random.default_rng([config.seed, idx])
-        img, boxes = _render_image(
-            rng, pattern, intervals, size, config.noise, config.shapes_per_interval
-        )
+        img, boxes = _render_image(rng, pattern, intervals, size, config.noise)
         images[idx] = img
         annotations.append({"image_id": idx, "boxes": boxes})
         patterns.append(pattern)
@@ -139,7 +139,7 @@ def _texture_field(rng, size: int, amplitude: float = 0.05) -> np.ndarray:
     return field
 
 
-def _render_image(rng, pattern, intervals, size, noise, shapes_per_interval):
+def _render_image(rng, pattern, intervals, size, noise):
     canvas = np.full((size, size), BACKGROUND) + 0.05 + _texture_field(rng, size)
     boxes: list[list] = []
     placed: list[tuple[float, float, float, float]] = []
@@ -147,7 +147,7 @@ def _render_image(rng, pattern, intervals, size, noise, shapes_per_interval):
         if not bit:
             continue
         lo, hi = _interval_side_range(intervals, i, size)
-        count = int(rng.integers(1, shapes_per_interval + 1))
+        count = int(rng.integers(1, SHAPES_PER_INTERVAL + 1))
         for _ in range(count):
             side = int(rng.integers(lo, hi + 1))
             cls_id = int(rng.integers(0, NUM_CLASSES))

@@ -33,9 +33,9 @@ and therefore trains as pure background.
 
 The detection loss is a sigmoid focal classification term over all
 locations plus an IoU term (1 - IoU) over positives, both normalized by
-the number of positives. The full objective adds the budget and
-path-similarity regularizers with their weights; during the warmup
-epochs the trainer passes neither.
+the number of positives; each term is one tape op per level. The full
+objective adds the budget and path-similarity regularizers with their
+weights; during the warmup epochs the trainer passes neither.
 """
 
 from __future__ import annotations
@@ -47,11 +47,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .autodiff import tensor as ad_tensor
 from .errors import ConfigurationError, NumericError, UsageError
 from .scale_budget import ScaleIntervals
 from .supernet import kaiming_uniform
 
 FOCAL_ALPHA = 0.25
+PRIOR_PROB = 0.01  # initial foreground probability of every class logit
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,6 @@ class DetectionHead:
         num_classes: int,
         tower_depth: int = 2,
         seed: int = 0,
-        prior_prob: float = 0.01,
     ):
         if num_classes < 1 or tower_depth < 1:
             raise ConfigurationError("num_classes and tower_depth must be >= 1")
@@ -124,7 +125,7 @@ class DetectionHead:
         # near-zero predictor weights keep initial logits at their biases,
         # the usual stabilizer for focal-loss heads without norm layers
         self._add("head.cls_pred.w", rng.normal(0.0, 0.01, (num_classes, hc)))
-        bias = -math.log((1.0 - prior_prob) / prior_prob)
+        bias = -math.log((1.0 - PRIOR_PROB) / PRIOR_PROB)
         self._add("head.cls_pred.b", np.full(num_classes, bias))
         self._add("head.reg_pred.w", rng.normal(0.0, 0.01, (4, hc)))
         self._add("head.reg_pred.b", np.zeros(4))
@@ -273,34 +274,68 @@ def assign_targets(
     return Targets(cls_onehot=cls_onehot, box_targets=box_targets, pos_mask=pos_masks)
 
 
-def _focal_term(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    """Elementwise sigmoid focal terms, alpha=0.25, gamma=2; the loss is minus their sum."""
-    t = Tensor(onehot)
-    one_minus_t = Tensor(1.0 - onehot)
-    p = ad.sigmoid(logits)
-    log_p = ad.log_sigmoid(logits)
-    log_1mp = ad.log_sigmoid(ad.neg(logits))
-    pos = ad.mul(ad.mul(t, ad.square(ad.sub(Tensor(1.0), p))), log_p)
-    neg_term = ad.mul(ad.mul(one_minus_t, ad.square(p)), log_1mp)
-    return ad.add(
-        ad.mul(pos, Tensor(FOCAL_ALPHA)), ad.mul(neg_term, Tensor(1.0 - FOCAL_ALPHA))
-    )
+def _focal_loss(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """Per-element sigmoid focal losses (alpha FOCAL_ALPHA, gamma 2) of
+    the (B, K, H, W) logits against (B, H*W, K) one-hot targets, laid out
+    (B, H*W, K), as one op. Forward and backward repeat the float steps
+    of the generic-op chain it replaced, in order, with the + 0.0 the
+    tape gives a first gradient; it records through autodiff.tensor."""
+    B, K, H, W = logits.data.shape
+    x = logits.data.transpose(0, 2, 3, 1).reshape(B, H * W, K)
+    t, one_minus_t = onehot, 1.0 - onehot
+    p = 0.5 * (np.tanh(0.5 * x) + 1.0)
+    log_p = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    nx = -x
+    log_1mp = np.minimum(nx, 0.0) - np.log1p(np.exp(-np.abs(nx)))
+    s1 = 1.0 - p
+    m1 = t * (s1 * s1)
+    m2 = one_minus_t * (p * p)
+    elems = (m1 * log_p) * FOCAL_ALPHA + (m2 * log_1mp) * (1.0 - FOCAL_ALPHA)
+
+    def backward(g):
+        g_elems = -g + 0.0
+        g_neg = g_elems * (1.0 - FOCAL_ALPHA) + 0.0
+        g_pos = g_elems * FOCAL_ALPHA + 0.0
+        g_m2 = g_neg * log_1mp + 0.0
+        g_log_1mp = g_neg * m2 + 0.0
+        g_p = 2.0 * p * (g_m2 * one_minus_t + 0.0) + 0.0
+        g_m1 = g_pos * log_p + 0.0
+        g_log_p = g_pos * m1 + 0.0
+        g_p += -(2.0 * s1 * (g_m1 * t + 0.0) + 0.0)
+        g_x = -(g_log_1mp * 0.5 * (np.tanh(-0.5 * nx) + 1.0) + 0.0) + 0.0
+        g_x += g_log_p * 0.5 * (np.tanh(-0.5 * x) + 1.0)
+        g_x += g_p * p * (1.0 - p)
+        return (g_x.reshape(B, H, W, K).transpose(0, 3, 1, 2),)
+
+    return ad_tensor.record((logits,), -elems, backward)
 
 
-def _iou_loss_term(pred_dist: Tensor, target_dist: np.ndarray) -> Tensor:
-    """1 - IoU for each row of aligned (P, 4) predicted/target distances."""
-    P = target_dist.shape[0]
-    cols = [ad.take(pred_dist, (slice(None), j)) for j in range(4)]
-    tl, tt, tr, tb = [Tensor(target_dist[:, j]) for j in range(4)]
-    pl, pt, pr, pb = cols
-    iw = ad.add(ad.minimum(pl, tl), ad.minimum(pr, tr))
-    ih = ad.add(ad.minimum(pt, tt), ad.minimum(pb, tb))
-    inter = ad.mul(iw, ih)
-    area_p = ad.mul(ad.add(pl, pr), ad.add(pt, pb))
-    area_t = ad.mul(ad.add(tl, tr), ad.add(tt, tb))
-    union = ad.sub(ad.add(area_p, area_t), inter)
-    iou = ad.div(inter, union)
-    return ad.sub(Tensor(np.ones(P)), iou)
+def _iou_loss(distances: Tensor, index: tuple, target: np.ndarray) -> Tensor:
+    """1 - IoU of the (B, 4, H, W) predicted distances at the positives
+    index = (b, y, x) against their (P, 4) targets, as one (P,) op, with
+    the float steps of the generic-op chain it replaced (as _focal_loss)."""
+    b_idx, ys, xs = index
+    pred_t, target_t = distances.data[b_idx, :, ys, xs].T, target.T  # rows l, t, r, b
+    takes = pred_t <= target_t  # a tie takes the prediction's side
+    low = np.where(takes, pred_t, target_t)
+    iw, ih = low[0] + low[2], low[1] + low[3]
+    inter = iw * ih
+    width, height = pred_t[0] + pred_t[2], pred_t[1] + pred_t[3]
+    union = (width * height + (target_t[0] + target_t[2]) * (target_t[1] + target_t[3])) - inter
+    iou = inter / union
+
+    def backward(g):
+        g_iou = -g + 0.0
+        g_union = -g_iou * inter / (union * union) + 0.0
+        g_inter = g_iou / union + 0.0
+        g_inter += -g_union
+        g_area = np.stack([g_union * height + 0.0, g_union * width + 0.0] * 2)
+        g_low = np.stack([g_inter * ih + 0.0, g_inter * iw + 0.0] * 2)
+        grad = np.zeros(distances.data.shape)
+        grad[b_idx, :, ys, xs] = (g_area + g_low * takes).T
+        return (grad,)
+
+    return ad_tensor.record((distances,), np.ones(iou.shape[0]) - iou, backward)
 
 
 def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.ndarray]:
@@ -321,20 +356,17 @@ def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.
     total: Tensor | None = None
     per_sample = np.zeros(B)
     for level in range(pred.num_levels):
-        logits = pred.cls_logits[level]
-        Bc, K, H, W = logits.data.shape
-        flat_logits = ad.reshape(ad.transpose(logits, (0, 2, 3, 1)), (Bc, H * W, K))
-        focal_elems = _focal_term(flat_logits, targets.cls_onehot[level])
-        focal = ad.neg(ad.tsum(focal_elems))
-        total = focal if total is None else ad.add(total, focal)
-        per_sample -= focal_elems.data.sum(axis=(1, 2))
+        W = pred.cls_logits[level].data.shape[3]
+        focal = _focal_loss(pred.cls_logits[level], targets.cls_onehot[level])
+        level_sum = ad.tsum(focal)
+        total = level_sum if total is None else ad.add(total, level_sum)
+        per_sample += focal.data.sum(axis=(1, 2))
 
         pos = targets.pos_mask[level]
         if pos.any():
-            dist = ad.transpose(pred.distances[level], (0, 2, 3, 1))  # (B, H, W, 4)
             b_idx, loc_idx = np.nonzero(pos)
-            pred_pos = ad.take(dist, (b_idx, *np.divmod(loc_idx, W)))
-            iou_rows = _iou_loss_term(pred_pos, targets.box_targets[level][pos])
+            index = (b_idx, *np.divmod(loc_idx, W))
+            iou_rows = _iou_loss(pred.distances[level], index, targets.box_targets[level][pos])
             total = ad.add(total, ad.tsum(iou_rows))
             per_sample += np.bincount(b_idx, weights=iou_rows.data, minlength=B)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
+from .autodiff import tensor as ad_tensor
 from .errors import ConfigurationError, UsageError
 
 logger = logging.getLogger(__name__)
@@ -64,6 +64,10 @@ def local_similarity_loss(
     """Batch path-similarity loss over all unordered sample pairs.
 
     routes: (B, 3n) Tensor of continuous gates; encodings: (B, m) binary.
+    One op that walks the pairs in order with the float steps of the
+    generic-op chain it replaced (row gathers, cosine, squared gap, sum,
+    1/B; + 0.0 on first gradients); it records through autodiff.tensor.
+    A zero route has cosine 0 with every row and passes no gradient.
     """
     B = routes.data.shape[0]
     encodings = np.asarray(encodings)
@@ -75,11 +79,37 @@ def local_similarity_loss(
         logger.info("similarity loss skipped: batch of %d has no pairs", B)
         return Tensor(np.float64(0.0))
     m = encodings.shape[1]
-    rows = [ad.take(routes, i) for i in range(B)]
-    total: Tensor | None = None
+    rows = [np.array(row) for row in routes.data]  # contiguous copies, as the row gathers made
+    norms = [float(np.linalg.norm(r)) for r in rows]
+    pairs = []  # (i, j, cosine, gap to target)
+    total = None
     for i in range(B):
         for j in range(i + 1, B):
-            target = gt_similarity(scale_similarity(encodings[i], encodings[j], m), config)
-            gap = ad.square(ad.sub(ad.cosine_similarity(rows[i], rows[j]), Tensor(target)))
-            total = gap if total is None else ad.add(total, gap)
-    return ad.mul(total, Tensor(1.0 / B))
+            nu, nv = norms[i], norms[j]
+            cos = 0.0 if nu == 0.0 or nv == 0.0 else float(rows[i] @ rows[j]) / (nu * nv)
+            d = cos - gt_similarity(scale_similarity(encodings[i], encodings[j], m), config)
+            total = d * d if total is None else total + d * d
+            pairs.append((i, j, cos, d))
+
+    def backward(g):
+        g_gap = g * (1.0 / B) + 0.0
+        grads: list[np.ndarray | None] = [None] * B
+        for i, j, cos, d in reversed(pairs):
+            nu, nv = norms[i], norms[j]
+            if nu == 0.0 or nv == 0.0:
+                parts = ((i, np.zeros_like(rows[i])), (j, np.zeros_like(rows[j])))
+            else:
+                g_cos = (2.0 * d * g_gap + 0.0) + 0.0
+                u, v = rows[i], rows[j]
+                parts = (
+                    (i, g_cos * (v / (nu * nv) - cos * u / (nu * nu))),
+                    (j, g_cos * (u / (nu * nv) - cos * v / (nv * nv))),
+                )
+            for k, part in parts:
+                if grads[k] is None:
+                    grads[k] = part + 0.0
+                else:
+                    grads[k] += part
+        return (np.stack(grads),)
+
+    return ad_tensor.record((routes,), np.float64(total * (1.0 / B)), backward)

@@ -174,8 +174,8 @@ def corpus_cost_table(model: Model, corpus: Corpus) -> CostConstants:
     """The model's cost table at the corpus's image size."""
     if len(corpus) == 0:
         raise UsageError("corpus is empty")
-    size = corpus.images.shape[1]
-    return compile_cost_table(model.spec, size, size)
+    height, width = corpus.images.shape[1:]
+    return compile_cost_table(model.spec, height, width)
 
 
 def infer_batches(model: Model, corpus: Corpus, table: CostConstants, batch_size: int = 16):
@@ -248,13 +248,13 @@ def _train_step(
 ) -> dict:
     images = _batch_images(corpus, idxs)
     boxes = [corpus.boxes_xywhc(int(i)) for i in idxs]
-    size = corpus.images.shape[1]
+    height, width = corpus.images.shape[1:]
     c_tot = table.total
     weights = LossWeights(config.lambda1, config.lambda2)
 
     with Tape() as tape:
         pyramid, record = model.supernet.forward(images, mode="train", forced_gates=forced_gates)
-        geometry = PyramidGeometry.from_pyramid(pyramid, size, size)
+        geometry = PyramidGeometry.from_pyramid(pyramid, height, width)
         pred = model.head.forward(pyramid, geometry)
         targets = assign_targets(boxes, geometry, model.intervals, model.num_classes)
         l_det, det_per_sample = detection_loss(pred, targets)
@@ -363,7 +363,7 @@ class EvalSummary:
 def evaluate_routing(model: Model, corpus: Corpus, batch_size: int = 16) -> EvalSummary:
     """Binarize routes over the corpus and summarize cost and diversity."""
     table = corpus_cost_table(model, corpus)
-    size = corpus.images.shape[1]
+    height, width = corpus.images.shape[1:]
 
     costs: list[float] = []
     routes: list[np.ndarray] = []
@@ -372,7 +372,7 @@ def evaluate_routing(model: Model, corpus: Corpus, batch_size: int = 16) -> Eval
     for idxs, pyramid, record, batch_costs in infer_batches(model, corpus, table, batch_size):
         costs.extend(batch_costs.tolist())
         routes.append(record.route_vectors())
-        geometry = PyramidGeometry.from_pyramid(pyramid, size, size)
+        geometry = PyramidGeometry.from_pyramid(pyramid, height, width)
         pred = model.head.forward(pyramid, geometry)
         boxes = [corpus.boxes_xywhc(int(i)) for i in idxs]
         targets = assign_targets(boxes, geometry, model.intervals, model.num_classes)

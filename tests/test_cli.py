@@ -123,6 +123,9 @@ class TestConfig:
         ({"data": {"num_classes": 2}}, "data.num_classes"),
         ({"head": {"num_classes": 2}}, "head.num_classes"),
         ({"supernet": {"in_channels": 1}}, "supernet.in_channels"),
+        # negative seeds, which numpy's generators refuse
+        ({"data": {"seed": -1}}, "data.seed"),
+        ({"train": {"seed": -3}}, "train.seed"),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):
@@ -130,6 +133,22 @@ def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):
     path.write_text(json.dumps(overrides))
     out = tmp_path / "run"
     code = main(["train", "--config", str(path), "--data", str(tmp_path / "corpus"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, key",
+    [(["--seed", "-1"], None, "data.seed"), ([], "-2", "DYNROUTE_SEED")],
+    ids=["flag", "env"],
+)
+def test_negative_seed_exit_2_before_output(tmp_path, capsys, monkeypatch, argv, env_seed, key):
+    if env_seed is not None:
+        monkeypatch.setenv("DYNROUTE_SEED", env_seed)
+    out = tmp_path / "corpus"
+    code = main(["gen-data", *argv, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err

@@ -5,6 +5,7 @@ import pytest
 
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor, grad_check
+from dynroute.autodiff.tensor import record
 from dynroute.errors import NumericError, UsageError
 from dynroute.head_loss import (
     FOCAL_ALPHA,
@@ -379,6 +380,69 @@ def _perfect_prediction(targets, geometry, num_classes, logit=30.0):
     return DensePrediction(cls_logits=cls_logits, distances=distances)
 
 
+def _unary(fn, grad_fn):
+    """A generic elementwise op of the kind the loss was once built from."""
+    return lambda a: record((a,), fn(a.data), lambda g: (grad_fn(g, a.data),))
+
+
+def _sigmoid_data(x):
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+
+
+def _log_sigmoid_data(x):
+    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+_neg = _unary(np.negative, lambda g, x: -g)
+_sigmoid = _unary(_sigmoid_data, lambda g, x: g * _sigmoid_data(x) * (1.0 - _sigmoid_data(x)))
+_log_sigmoid = _unary(_log_sigmoid_data, lambda g, x: g * 0.5 * (np.tanh(-0.5 * x) + 1.0))
+_transpose = _unary(lambda x: x.transpose(0, 2, 3, 1), lambda g, x: g.transpose(0, 3, 1, 2))
+
+
+def _minimum(a, b):
+    take_a = a.data <= b.data
+    return record((a, b), np.where(take_a, a.data, b.data), lambda g: (g * take_a, g * ~take_a))
+
+
+def _div(a, b):
+    a_data, b_data = a.data, b.data
+    return record((a, b), a_data / b_data, lambda g: (g / b_data, -g * a_data / (b_data * b_data)))
+
+
+def _chain_detection_loss(pred, targets):
+    """detection_loss as the chain of generic ops it was before its focal
+    and IoU terms became one op each."""
+    total, per_sample = None, np.zeros(pred.cls_logits[0].data.shape[0])
+    for level in range(pred.num_levels):
+        logits = pred.cls_logits[level]
+        B, K, H, W = logits.data.shape
+        x = ad.reshape(_transpose(logits), (B, H * W, K))
+        onehot = targets.cls_onehot[level]
+        p = _sigmoid(x)
+        pos = ad.mul(ad.mul(Tensor(onehot), ad.square(ad.sub(Tensor(1.0), p))), _log_sigmoid(x))
+        neg = ad.mul(ad.mul(Tensor(1.0 - onehot), ad.square(p)), _log_sigmoid(_neg(x)))
+        elems = ad.add(ad.mul(pos, Tensor(FOCAL_ALPHA)), ad.mul(neg, Tensor(1.0 - FOCAL_ALPHA)))
+        focal = _neg(ad.tsum(elems))
+        total = focal if total is None else ad.add(total, focal)
+        per_sample -= elems.data.sum(axis=(1, 2))
+        mask = targets.pos_mask[level]
+        if mask.any():
+            dist = _transpose(pred.distances[level])
+            b_idx, loc_idx = np.nonzero(mask)
+            rows = ad.take(dist, (b_idx, *np.divmod(loc_idx, W)))
+            pl, pt, pr, pb = (ad.take(rows, (slice(None), j)) for j in range(4))
+            tl, tt, tr, tb = (Tensor(c) for c in targets.box_targets[level][mask].T)
+            iw = ad.add(_minimum(pl, tl), _minimum(pr, tr))
+            inter = ad.mul(iw, ad.add(_minimum(pt, tt), _minimum(pb, tb)))
+            area_p = ad.mul(ad.add(pl, pr), ad.add(pt, pb))
+            union = ad.sub(ad.add(area_p, ad.mul(ad.add(tl, tr), ad.add(tt, tb))), inter)
+            iou_rows = ad.sub(Tensor(np.ones(len(b_idx))), _div(inter, union))
+            total = ad.add(total, ad.tsum(iou_rows))
+            per_sample += np.bincount(b_idx, weights=iou_rows.data, minlength=len(per_sample))
+    loss = ad.mul(total, Tensor(1.0 / max(1, targets.num_positives)))
+    return loss, per_sample / np.maximum(1, targets.per_sample_positives())
+
+
 class TestDetectionLoss:
     def test_perfect_prediction_near_zero(self):
         geometry = _geometry()
@@ -470,6 +534,56 @@ class TestDetectionLoss:
                 assign_targets(boxes[b : b + 1], geometry, INTERVALS, 2),
             )
             assert per_sample[b] == pytest.approx(float(alone.data), rel=1e-12, abs=0)
+
+    def test_equals_the_chain_of_generic_ops_bytewise(self):
+        """Loss, per-sample values and the gradients of logits and
+        distances equal, bit for bit, those of the chain of generic ops
+        the focal and IoU ops replace: on a five-level batch with signed
+        zeros, ties between predicted and target distances, saturated
+        logits, a logits map in Fortran order and upstream gradients of
+        +0.0 and -0.0."""
+        geometry = _geometry()
+        boxes = [
+            [(20.0, 21.0, 11.0, 10.0, 1), (2.0, 2.0, 6.0, 7.0, 0)],
+            [],
+            [(2.0, 2.0, 8.0, 7.0, 0), (17.0, 17.0, 14.0, 13.0, 1), (35.0, 3.0, 28.0, 26.0, 0)],
+        ]
+        targets = assign_targets(boxes, geometry, INTERVALS, 2)
+        rng = np.random.default_rng(19)
+        logits, dists = [], []
+        for h, w in geometry.sizes:
+            a = rng.normal(0.0, 4.0, (3, 2, h, w))
+            a[rng.random(a.shape) < 0.1] = -0.0
+            a[0, 0, 0, 0] = 800.0
+            logits.append(np.asfortranarray(a) if h == 4 else a)
+            dists.append(np.exp(rng.normal(1.0, 1.0, (3, 4, h, w))))
+        level, (b, loc) = 1, np.argwhere(targets.pos_mask[1])[0]
+        dists[level][b, :, loc // 4, loc % 4] = targets.box_targets[level][b, loc]  # four ties
+        for scale in (0.7, 0.0, -0.0):
+            results = []
+            for loss_fn in (detection_loss, _chain_detection_loss):
+                inputs = [Tensor(a.copy(), requires_grad=True) for a in logits + dists]
+                with Tape() as tape:
+                    loss, per_sample = loss_fn(DensePrediction(inputs[:5], inputs[5:]), targets)
+                    tape.backward(ad.mul(loss, Tensor(scale)))
+                grads = [b"-" if t.grad is None else t.grad.tobytes() for t in inputs]
+                results.append((loss.data.tobytes(), per_sample.tobytes(), grads))
+            assert results[0] == results[1]
+
+    def test_tape_entries_do_not_depend_on_positive_count(self):
+        """One focal op per level and one IoU op per level with positives,
+        whether it has one positive or four."""
+        geometry = PyramidGeometry(image_h=16, image_w=16, sizes=[(4, 4)], strides=[4.0])
+        intervals = ScaleIntervals((16.0,))
+        counts = []
+        for boxes in ([], [(5.0, 5.0, 2.0, 2.0, 0)], [(2.0, 3.0, 9.0, 8.0, 1)]):
+            targets = assign_targets([boxes], geometry, intervals, num_classes=2)
+            logits = Tensor(np.zeros((1, 2, 4, 4)), requires_grad=True)
+            dists = Tensor(np.ones((1, 4, 4, 4)), requires_grad=True)
+            with Tape() as tape:
+                detection_loss(DensePrediction([logits], [dists]), targets)
+            counts.append((targets.num_positives, len(tape)))
+        assert counts == [(0, 3), (1, 6), (4, 6)]
 
     def test_gradient_of_detection_loss(self):
         geometry = PyramidGeometry(image_h=16, image_w=16, sizes=[(2, 2)], strides=[8.0])

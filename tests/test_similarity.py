@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dynroute.autodiff as ad
-from dynroute.autodiff import Tape, Tensor
+from dynroute.autodiff import Tape, Tensor, grad_check
+from dynroute.autodiff.tensor import record
 from dynroute.errors import ConfigurationError, UsageError
 from dynroute.similarity import (
     SimilarityConfig,
@@ -15,6 +16,23 @@ from dynroute.similarity import (
 )
 
 CFG = SimilarityConfig()  # min 0.6, max 0.95
+
+
+def _cosine_op(u, v):
+    """The generic cosine op of two 1-D tensors that the loss was once
+    built from: 0 with zero gradient when either norm is zero."""
+    ud, vd = u.data, v.data
+    nu, nv = float(np.linalg.norm(ud)), float(np.linalg.norm(vd))
+    if nu == 0.0 or nv == 0.0:
+        return record((u, v), np.float64(0.0), lambda g: (np.zeros_like(ud), np.zeros_like(vd)))
+    cos = float(ud @ vd) / (nu * nv)
+
+    def backward(g):
+        gu = g * (vd / (nu * nv) - cos * ud / (nu * nu))
+        gv = g * (ud / (nu * nv) - cos * vd / (nv * nv))
+        return gu, gv
+
+    return record((u, v), np.float64(cos), backward)
 
 
 class TestScaleSimilarity:
@@ -115,7 +133,7 @@ class TestLocalSimilarityLoss:
             for i in range(B):
                 for j in range(i + 1, B):
                     target = gt_similarity(scale_similarity(enc[i], enc[j], 4), CFG)
-                    cos = ad.cosine_similarity(ad.take(routes, i), ad.take(routes, j))
+                    cos = _cosine_op(ad.take(routes, i), ad.take(routes, j))
                     gap = ad.square(ad.sub(cos, Tensor(target)))
                     total = gap if total is None else ad.add(total, gap)
             return ad.mul(total, Tensor(1.0 / B))
@@ -188,3 +206,48 @@ class TestLocalSimilarityLoss:
             minus[idx] -= eps
             numeric = (float(fn(Tensor(plus)).data) - float(fn(Tensor(minus)).data)) / (2 * eps)
             assert abs(r.grad[idx] - numeric) < 1e-6
+
+    @pytest.mark.parametrize("B", [2, 8])
+    def test_records_one_tape_entry(self, B):
+        routes = Tensor(np.random.default_rng(B).uniform(0, 1, (B, 6)), requires_grad=True)
+        enc = np.random.default_rng(0).integers(0, 2, (B, 4))
+        with Tape() as tape:
+            local_similarity_loss(routes, enc, CFG)
+        assert len(tape) == 1
+
+    def test_zero_route_gives_cosine_zero_and_zero_gradient_row(self):
+        """A zero route has cosine 0 with every other route, and its row of
+        the gradient is +0.0; the rows it pairs with get no gradient from
+        those pairs."""
+        rows = np.array([[0.2, 0.9, 0.4], [0.0, 0.0, 0.0], [0.7, 0.1, 0.5]])
+        enc = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0]])
+        r = Tensor(rows, requires_grad=True)
+        with Tape() as tape:
+            loss = local_similarity_loss(r, enc, CFG)
+            tape.backward(loss)
+        cos02 = rows[0] @ rows[2] / (np.linalg.norm(rows[0]) * np.linalg.norm(rows[2]))
+        t01, t02, t12 = 0.95, gt_similarity(0.75, CFG), gt_similarity(0.75, CFG)
+        want = ((0.0 - t01) ** 2 + (cos02 - t02) ** 2 + (0.0 - t12) ** 2) / 3
+        assert float(loss.data) == pytest.approx(want, rel=1e-12)
+        assert r.grad[1].tobytes() == np.zeros(3).tobytes()
+        alone = Tensor(rows[[0, 2]], requires_grad=True)
+        with Tape() as tape:
+            tape.backward(ad.mul(local_similarity_loss(alone, enc[[0, 2]], CFG), Tensor(2.0 / 3)))
+        np.testing.assert_allclose(r.grad[[0, 2]], alone.grad, rtol=1e-12)
+
+    def test_disjoint_routes_have_cosine_zero(self):
+        routes = self._routes([[1.0, 0.0, 0.5, 0.0], [0.0, 0.3, 0.0, 0.9]])
+        enc = np.tile([1, 0, 1, 0], (2, 1))
+        assert float(local_similarity_loss(routes, enc, CFG).data) == (0.0 - 0.95) ** 2 / 2
+
+    def test_grad_check_near_parallel_routes(self):
+        """Cosines near 1, where the gradient nearly cancels."""
+        base = np.random.default_rng(9).uniform(0.2, 1.0, size=6)
+        enc = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+
+        def near_parallel(u):
+            routes = ad.concat([ad.reshape(u, (1, 6)), Tensor(base[None] + 1e-3)])
+            return local_similarity_loss(routes, enc, CFG)
+
+        report = grad_check(near_parallel, [(6,)], low=0.2, high=1.0, name="L_local_parallel")
+        assert report.passed, str(report)

@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dynroute.autodiff import Tensor
 from dynroute.config import load_config, synth_config_from, train_config_from
+from dynroute.costmodel import count_executed_madds
 from dynroute.data_synth import Corpus, SynthConfig, generate_corpus
 from dynroute.errors import ConfigurationError
 from dynroute.head_loss import DetectionHead
@@ -15,6 +17,7 @@ from dynroute.trainer import (
     Model,
     TrainConfig,
     TrainingAborted,
+    corpus_cost_table,
     evaluate_routing,
     group_cosine_stats,
     load_model,
@@ -222,6 +225,32 @@ class TestEvaluateRouting:
         # eval that filled the memo did
         assert untrained_zero_rows > 0
         assert len(zero_rows) == 2 and zero_rows[0] == zero_rows[1] > 0
+
+
+class TestNonSquareCorpus:
+    def test_each_image_is_billed_what_it_executes(self):
+        """On a 64x128 corpus (the 4-image seed-1 desk corpus, each image
+        doubled in width) the cost table has the corpus's height and
+        width, every image's C_net equals the MAdds the independent
+        executor counts on its route, and a training step runs."""
+        config = load_config(None)
+        config["data"].update(num_images=4, seed=1)
+        square = generate_corpus(synth_config_from(config))
+        corpus = Corpus(np.concatenate([square.images] * 2, axis=2), square.annotations)
+        model = model_from_config(config)
+        summary = evaluate_routing(model, corpus)
+        for i, cost in enumerate(summary.sample_costs):
+            image = corpus.images[i : i + 1].astype(np.float64) / 255.0
+            _, record = model.supernet.forward(Tensor(image[None]), mode="infer")
+            counted, _ = count_executed_madds(
+                model.supernet, image, {n: m[0] for n, m in record.masks.items()}
+            )
+            assert cost == counted
+        table = corpus_cost_table(model, corpus)
+        assert (table.input_h, table.input_w) == (64, 128)
+        config["train"].update(epochs=1, batch_size=4, lr_drop_epochs=[], regularizer_warmup_epochs=0)
+        log = train(model, train_config_from(config), corpus).log
+        assert len(log) == 1 and log[0]["L_global"] > 0
 
 
 class TestStatistics:
