@@ -11,6 +11,12 @@ from dynroute.autodiff.tensor import record
 from dynroute.costmodel import CostConstants, NodeCost, network_cost
 from dynroute.errors import ConfigurationError, UsageError
 from dynroute.head_loss import _focal_loss, _iou_loss
+from dynroute.similarity import (
+    SimilarityConfig,
+    gt_similarity,
+    local_similarity_loss,
+    scale_similarity,
+)
 from dynroute.supernet import NodeId, SupernetSpec
 
 
@@ -518,6 +524,15 @@ def test_tape_replay_identical_losses():
     assert run() == run()
 
 
+def test_cosine_similarity_of_identical_vectors_is_one():
+    """The path-similarity loss of two identical routes is (1 - target)^2 / 2."""
+    r = [0.2, 0.8, 0.4]
+    enc = np.array([[1, 0, 1, 0], [0, 1, 1, 1]])
+    target = gt_similarity(scale_similarity(enc[0], enc[1], 4), SimilarityConfig())
+    loss = float(local_similarity_loss(Tensor(np.array([r, r])), enc, SimilarityConfig()).data)
+    assert target + np.sqrt(2 * loss) == pytest.approx(1.0)
+
+
 def test_straight_through_forwards_value_and_passes_gradient():
     x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
     with Tape() as tape:
@@ -602,6 +617,11 @@ def _max_ties(datas):
 _PASSES = np.arange(12).reshape(3, 4) % 3 != 1
 _ONEHOT = np.zeros((2, 4, 3))
 _ONEHOT[0, 1, 2] = _ONEHOT[1, 0, 0] = _ONEHOT[1, 3, 1] = 1.0
+_ONEHOT_2X3 = np.zeros((2, 6, 3))
+_ONEHOT_2X3[0, 4, 1] = _ONEHOT_2X3[1, 2, 0] = _ONEHOT_2X3[1, 5, 2] = 1.0
+# logits on the wrong side of their targets: -5 at positives, +5 elsewhere
+_TAILS = 5.0 - 10.0 * _ONEHOT.reshape(2, 2, 2, 3).transpose(0, 3, 1, 2)
+_ENCODINGS = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]])
 _POSITIVES = (np.array([0, 0, 1]), np.array([0, 2, 1]), np.array([1, 0, 2]))
 _BOX_TARGETS = np.array([[0.5, 1.2, 0.8, 2.0], [1.5, 0.7, 1.1, 0.6], [0.9, 0.9, 2.2, 1.3]])
 
@@ -662,6 +682,24 @@ OPS = [
     # three positives against fixed targets
     ("focal_loss", lambda x: _focal_loss(x, _ONEHOT), [(2, 3, 2, 2)], None),
     ("iou_loss", lambda raw: _iou_loss(ad.exp(raw), _POSITIVES, _BOX_TARGETS), [(2, 4, 3, 3)], _iou_ties),
+    # the generic ops the loss ops absorbed, each checked where its math now
+    # lives, in the regime that leans on it: sigmoid, the foreground focal
+    # term a (1 - p)^2 (-log p) (every target positive); neg, the background
+    # term (1 - a) p^2 (-log sigmoid(-x)) of the negated logits (none
+    # positive); log_sigmoid, logits 4 to 6 past zero on the wrong side of
+    # their targets, where the log of a tiny probability must stay accurate;
+    # transpose, the (B, K, H, W) -> (B, H*W, K) layout on a non-square
+    # level; div, predictions holding their targets, so the intersection is
+    # fixed and 1 - IoU moves only through inter / union; minimum,
+    # predictions inside their targets, so every min takes the prediction
+    ("sigmoid", lambda x: _focal_loss(x, np.ones((2, 4, 3))), [(2, 3, 2, 2)], None),
+    ("neg", lambda x: _focal_loss(x, np.zeros((2, 4, 3))), [(2, 3, 2, 2)], None),
+    ("log_sigmoid", lambda x: _focal_loss(ad.add(x, Tensor(_TAILS)), _ONEHOT), [(2, 3, 2, 2)], None),
+    ("transpose", lambda x: _focal_loss(x, _ONEHOT_2X3), [(2, 3, 2, 3)], None),
+    ("div", lambda raw: _iou_loss(ad.add(ad.exp(raw), Tensor(3.0)), _POSITIVES, _BOX_TARGETS), [(2, 4, 3, 3)], None),
+    ("minimum", lambda raw: _iou_loss(ad.mul(ad.exp(raw), Tensor(0.15)), _POSITIVES, _BOX_TARGETS), [(2, 4, 3, 3)], None),
+    # the cosine of each route pair, inside the path-similarity loss
+    ("cosine_similarity", lambda r: local_similarity_loss(r, _ENCODINGS, SimilarityConfig()), [(3, 6)], None),
     ("conv2d_1x1", lambda x, w: ad.conv2d_1x1(x, w), [(2, 3, 4, 4), (5, 3)], None),
     ("conv2d_1x1_s2", lambda x, w: ad.conv2d_1x1(x, w, stride=2), [(1, 2, 4, 4), (3, 2)], None),
     (
@@ -726,6 +764,20 @@ def test_grad_check_sepconv_random_input():
         seed=123,
         name="sepconv_1x4x8x8",
     )
+    assert report.passed, str(report)
+
+
+def test_grad_check_cosine_near_parallel():
+    """Route cosines near 1 in the path-similarity loss, where the
+    gradient nearly cancels."""
+    base = np.random.default_rng(9).uniform(0.2, 1.0, size=6)
+    enc = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+
+    def near_parallel(u):
+        routes = ad.concat([ad.reshape(u, (1, 6)), Tensor(base[None] + 1e-3)])
+        return local_similarity_loss(routes, enc, SimilarityConfig())
+
+    report = grad_check(near_parallel, [(6,)], low=0.2, high=1.0, name="cosine_parallel")
     assert report.passed, str(report)
 
 

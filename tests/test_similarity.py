@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dynroute.autodiff as ad
-from dynroute.autodiff import Tape, Tensor, grad_check
+from dynroute.autodiff import Tape, Tensor
 from dynroute.autodiff.tensor import record
 from dynroute.errors import ConfigurationError, UsageError
 from dynroute.similarity import (
@@ -239,15 +239,3 @@ class TestLocalSimilarityLoss:
         routes = self._routes([[1.0, 0.0, 0.5, 0.0], [0.0, 0.3, 0.0, 0.9]])
         enc = np.tile([1, 0, 1, 0], (2, 1))
         assert float(local_similarity_loss(routes, enc, CFG).data) == (0.0 - 0.95) ** 2 / 2
-
-    def test_grad_check_near_parallel_routes(self):
-        """Cosines near 1, where the gradient nearly cancels."""
-        base = np.random.default_rng(9).uniform(0.2, 1.0, size=6)
-        enc = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
-
-        def near_parallel(u):
-            routes = ad.concat([ad.reshape(u, (1, 6)), Tensor(base[None] + 1e-3)])
-            return local_similarity_loss(routes, enc, CFG)
-
-        report = grad_check(near_parallel, [(6,)], low=0.2, high=1.0, name="L_local_parallel")
-        assert report.passed, str(report)
