@@ -9,8 +9,9 @@ scaled by the level stride, so they are always positive.
 
 At inference (no tape recording) the head computes an all-zero level's
 outputs once per parameter state. A sample whose route closed every path
-into a scale has all-zero features there. The head keeps a memo of the
-zero-input outputs (one row of logits and one of distances) keyed by the
+into a scale has all-zero features there. The head keeps a memo
+(supernet.ZeroRowMemo, which also serves the supernet's extra level) of
+the zero-input outputs (one row of logits and one of distances) keyed by the
 level's feature shape (C, H, W) and stride: a level's zero rows are
 copies of the memo row, and the towers and predictors run only on its
 nonzero rows, or not at all. A missing entry is filled from one zero row
@@ -50,7 +51,7 @@ from .autodiff import Tensor
 from .autodiff import tensor as ad_tensor
 from .errors import ConfigurationError, NumericError, UsageError
 from .scale_budget import ScaleIntervals
-from .supernet import kaiming_uniform
+from .supernet import ZeroRowMemo, kaiming_uniform
 
 FOCAL_ALPHA = 0.25
 PRIOR_PROB = 0.01  # initial foreground probability of every class logit
@@ -129,10 +130,8 @@ class DetectionHead:
         self._add("head.cls_pred.b", np.full(num_classes, bias))
         self._add("head.reg_pred.w", rng.normal(0.0, 0.01, (4, hc)))
         self._add("head.reg_pred.b", np.zeros(4))
-        # tapeless outputs of an all-zero level by ((C, H, W), stride), computed
-        # with the parameter bytes in _memo_params
-        self._zero_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._memo_params: tuple[bytes, ...] = ()
+        # tapeless outputs of an all-zero level, by (C, H, W) and stride
+        self._zero_rows = ZeroRowMemo(list(self.params.values()))
 
     def _add(self, name, data):
         self.params[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
@@ -150,14 +149,11 @@ class DetectionHead:
 
     def forward(self, pyramid: list[Tensor], geometry: PyramidGeometry) -> DensePrediction:
         if ad.active_tape() is None:
-            params = tuple(p.data.tobytes() for p in self.params.values())
-            if params != self._memo_params:
-                self._zero_memo.clear()
-                self._memo_params = params
-            level = self._tapeless_level
-        else:
-            level = self._level
-        outs = [level(feat, stride) for feat, stride in zip(pyramid, geometry.strides)]
+            self._zero_rows.refresh()
+        outs = [
+            self._zero_rows.run(lambda x: self._level(x, stride), feat, stride)
+            for feat, stride in zip(pyramid, geometry.strides)
+        ]
         return DensePrediction(
             cls_logits=[logits for logits, _ in outs], distances=[dist for _, dist in outs]
         )
@@ -169,31 +165,6 @@ class DetectionHead:
         raw = self._pred("reg_pred", r)
         # clamp keeps exp finite; +-8 spans 0.0003..3000 strides
         return logits, ad.mul(ad.exp(ad.clamp(raw, -8.0, 8.0)), Tensor(stride))
-
-    def _tapeless_level(self, feat: Tensor, stride: float) -> tuple[Tensor, Tensor]:
-        """The level's nonzero rows through the towers, its zero rows
-        copied from the memo (filled from one zero row on a miss)."""
-        zero = ~feat.data.any(axis=(1, 2, 3))
-        if not zero.any():
-            return self._level(feat, stride)
-        key = (feat.data.shape[1:], stride)
-        memo = self._zero_memo.get(key)
-        runs = ~zero
-        if memo is None:
-            first = int(np.argmax(zero))
-            runs[first] = True
-        ran = self._level(ad.gather_rows(feat, np.flatnonzero(runs)), stride) if runs.any() else None
-        if memo is None:
-            at = np.count_nonzero(runs[:first])
-            memo = self._zero_memo[key] = tuple(t.data[at : at + 1].copy() for t in ran)
-        outs = []
-        for i, row in enumerate(memo):
-            out = np.empty((zero.size,) + row.shape[1:])
-            if ran is not None:
-                out[runs] = ran[i].data
-            out[zero] = row
-            outs.append(Tensor(out))
-        return tuple(outs)
 
     def _pred(self, name: str, x: Tensor) -> Tensor:
         out = ad.conv2d_1x1(x, self.params[f"head.{name}.w"])

@@ -48,6 +48,18 @@ a tape the channel contractions run as BLAS matmul, see autodiff/ops.py):
   whole batch and also runs the transforms of closed paths at live
   nodes, so their gates still receive gradient (a closed path's output
   is zero in the forward pass).
+* Each layer settles the gates, open masks and samples per direction of
+  all its nodes in one (B, k, 3) array step, before any of its conv
+  blocks runs; a router node's gates come from its router, run first.
+  In infer mode, once no sample reaches a layer and no node from there
+  on has a router, the pass stops: the remaining nodes are recorded
+  with their forced gates and closed masks.
+* Infer mode also skips work at the outputs. A scale no route reaches
+  projects to zeros without its conv (train mode runs it, so the
+  optimizer still steps proj.{s}.w), and the extra level's rows whose
+  last scale is all zero are copies of one row computed per state of
+  the extra.* parameters (ZeroRowMemo, shared with the detection head);
+  for a trained model that row is the broadcast extra.pw_b.
 
 The router pools its input, mixes channels, and standardizes the pooled
 vector of each sample (zero mean, unit variance over channels; one
@@ -199,6 +211,60 @@ def _sum_at_rows(contribs: list[Part], rows: np.ndarray, batch: int) -> Tensor:
     return Tensor(out)
 
 
+class ZeroRowMemo:
+    """Tapeless outputs of an all-zero input row, computed once per state
+    of the parameters they read.
+
+    run(fn, x, tag) returns fn(x), a tuple of (B, ...) Tensors, with the
+    outputs of x's all-zero rows copied from an entry keyed by x's
+    (C, H, W) and tag: fn runs only on x's nonzero rows, or not at all,
+    and a missing entry is filled from one zero row run beside them. fn
+    must compute each row on its own and not see the sign of a zero (a
+    depthwise conv adds every product into a +0), so a copy is what fn
+    would give that row, bit for bit. refresh() empties the memo when a
+    parameter's bytes differ from those it was filled with (an optimizer
+    step, load_state, an in-place edit, even +0.0 to -0.0). Under a
+    recording tape, run calls fn on the whole batch and neither reads
+    nor fills the memo.
+    """
+
+    def __init__(self, params: list[Tensor]):
+        self._params = params
+        self._state: tuple[bytes, ...] = ()
+        self._rows: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def refresh(self) -> None:
+        state = tuple(p.data.tobytes() for p in self._params)
+        if state != self._state:
+            self._rows.clear()
+            self._state = state
+
+    def run(self, fn, x: Tensor, tag=None) -> tuple[Tensor, ...]:
+        if ad.active_tape() is not None:
+            return fn(x)
+        zero = ~x.data.any(axis=(1, 2, 3))
+        n_zero = np.count_nonzero(zero)
+        if n_zero == 0:
+            return fn(x)
+        key = (x.data.shape[1:], tag)
+        memo = self._rows.get(key)
+        ran = None
+        if memo is None or n_zero < zero.size:
+            runs = ~zero
+            if memo is None:
+                first = int(np.argmax(zero))
+                runs[first] = True
+            ran = fn(ad.gather_rows(x, np.flatnonzero(runs)))
+            if memo is None:
+                at = np.count_nonzero(runs[:first])
+                memo = self._rows[key] = tuple(t.data[at : at + 1].copy() for t in ran)
+        outs = tuple(Tensor(row.repeat(zero.size, axis=0)) for row in memo)
+        if ran is not None:
+            for out, part in zip(outs, ran):
+                out.data[runs] = part.data
+        return outs
+
+
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     """Uniform weights in +-sqrt(6 / fan_in), drawn from rng."""
     bound = float(np.sqrt(6.0 / max(1, fan_in)))
@@ -213,9 +279,12 @@ class Supernet:
         self.spec = spec
         self.nodes = reachable_nodes(spec)
         self.node_masks = {n: valid_directions(spec, n) for n in self.nodes}
+        self._index = {n: i for i, n in enumerate(self.nodes)}
+        self._valid = np.array([self.node_masks[n] for n in self.nodes])  # (N, 3)
         self.params: dict[str, Tensor] = {}
         self._input_hw: tuple[int, int] = (0, 0)  # set per forward pass
         self._init_params(np.random.default_rng(seed))
+        self._extra_zero_rows = ZeroRowMemo([self.params[f"extra.{k}"] for k in ("dw_w", "pw_w", "pw_b")])
 
     # -- parameters --------------------------------------------------------
 
@@ -281,7 +350,7 @@ class Supernet:
 
     def router_forward(self, node: NodeId, x: Tensor) -> Tensor:
         """The (B, 3) tanh of the router's logits; the gates are its
-        positive part, boundary-masked (see _node_gates)."""
+        positive part, boundary-masked (see forward)."""
         base = f"node.{node.layer}.{node.scale}.router"
         pooled = ad.avg_pool_to(x, 2, 2)
         mixed = ad.conv2d_1x1(pooled, self.params[f"{base}.conv_w"])
@@ -303,8 +372,9 @@ class Supernet:
 
         The pyramid has num_scales + 1 levels: one projection per scale
         plus one extra level from a stride-2 separable conv on the last.
-        forced_gates maps NodeId to a (B, 3) or (3,) array that replaces
-        the router's gates (still boundary-masked).
+        forced_gates maps NodeId to a (B, 3) or (3,) array of finite gates
+        in [0, 1] that replaces the router's gates (still boundary-masked);
+        nodes it leaves out run their routers.
         """
         if mode not in ("train", "infer"):
             raise UsageError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -322,88 +392,107 @@ class Supernet:
             raise UsageError(
                 f"expected {self.spec.in_channels} input channels, got {C}"
             )
+        # every node's boundary-masked gates, in node order: forced ones
+        # now, a router node's when its layer is reached
+        gates_all, routed = self._forced_gate_array(forced_gates, B)
+        # with forced gates in infer mode, the pass ends at the first layer
+        # no sample reaches, unless a router runs at it or after it
+        last_router = max((i for i, r in enumerate(routed) if r), default=-1)
 
         spec = self.spec
         tau = spec.gate_threshold
         self._input_hw = (H, W)
-
-        gates_np: dict[NodeId, np.ndarray] = {}
-        masks_np: dict[NodeId, np.ndarray] = {}
+        masks_all = np.zeros(gates_all.shape, dtype=bool)
         gate_tensors: dict[NodeId, Tensor] = {}
         # contributions flowing into the current layer, keyed by scale, and
-        # per sample how many open paths reach that scale; the stem feeds
+        # per sample and scale how many open paths reach it; the stem feeds
         # layer 1
         incoming: dict[int, list[Part]] = {}
-        open_in: dict[int, np.ndarray] = {0: np.ones(B)}
+        open_in = np.ones((B, 1))
         last_outputs: dict[int, Part] = {}
 
+        lo = 0  # index of the layer's first node
         for layer in range(1, spec.num_layers + 1):
+            k = min(layer, spec.num_scales)
+            live = open_in > 0
+            if mode == "infer" and lo > last_router and not live.any():
+                break  # every node from here on stays closed
+            nodes = self.nodes[lo : lo + k]
             next_incoming: dict[int, list[Part]] = {}
-            next_open: dict[int, np.ndarray] = {}
-            for scale in range(min(layer, spec.num_scales)):
-                node = NodeId(layer, scale)
-                n_open = open_in.get(scale, np.zeros(B))
-                live = n_open > 0
-                contribs = incoming.get(scale, [])
-                # a router and the train path read the node's input on every
-                # sample; a forced gate in infer mode only on the block's rows
-                x = None
-                if mode == "train" or forced_gates is None or node not in forced_gates:
-                    x = self._node_input(node, images, contribs, n_open, None)
-                pre, gates = self._node_gates(node, x, B, forced_gates)
-                open_mask = binarize_gates(gates, tau) & live[:, None]
-                gates_np[node] = gates
-                masks_np[node] = open_mask
+            # a router and the train path read the node's input on every
+            # sample; a forced gate in infer mode only on the block's rows
+            inputs: dict[int, Tensor] = {}
+            tanhs: dict[int, Tensor] = {}
+            for i, node in enumerate(nodes):
+                if mode == "train" or routed[lo + i]:
+                    inputs[i] = self._node_input(node, images, incoming.get(i, []), open_in[:, i], None)
+                if routed[lo + i]:
+                    tanhs[i] = self.router_forward(node, inputs[i])
+                    gates_all[:, lo + i] = np.maximum(tanhs[i].data, 0.0) * self.node_masks[node]
+            # the layer's (B, k, 3) gates, open masks and samples per direction
+            gates = gates_all[:, lo : lo + k]
+            open_mask = masks_all[:, lo : lo + k]
+            np.logical_and(binarize_gates(gates, tau), live[:, :, None], out=open_mask)
+            if mode == "train":
+                # open paths carry the gate value; closed paths at live
+                # nodes carry nothing forward but still pass gradient back
+                needed = self._valid[lo : lo + k] & live[:, :, None]
+            else:
+                needed = open_mask
+            counts = needed.sum(axis=0).tolist()  # samples per node and direction
+            for i, node in enumerate(nodes):
                 if mode == "train":
-                    # open paths carry the gate value; closed paths at live
-                    # nodes carry nothing forward but still pass gradient back
-                    needed = self.node_masks[node] & live[:, None]
-                    open_gates = ad.straight_through(pre, gates * open_mask, passes=needed)
+                    pre = tanhs[i] if i in tanhs else Tensor(gates[:, i])
+                    open_gates = ad.straight_through(
+                        pre, gates[:, i] * open_mask[:, i], passes=needed[:, i]
+                    )
                     gate_tensors[node] = open_gates
-                else:
-                    needed = open_mask
-                counts = needed.sum(axis=0).tolist()  # samples per direction
-                if not any(counts):
+                if not any(counts[i]):
                     continue  # conv block dropped for the whole batch
                 # infer runs the block on the samples with an open path only
                 # (None: on every sample, as train mode always does)
                 runs = None
-                if mode == "infer" and B not in counts:
-                    runs = np.flatnonzero(needed.any(axis=1))
-                if x is None:
-                    x = self._node_input(node, images, contribs, n_open, runs)
+                if mode == "infer" and B not in counts[i]:
+                    runs = np.flatnonzero(needed[:, i].any(axis=1))
+                if i in inputs:
+                    x = ad.gather_rows(inputs[i], runs)
                 else:
-                    x = ad.gather_rows(x, runs)
+                    x = self._node_input(node, images, incoming.get(i, []), open_in[:, i], runs)
                 y = self._sepconv(f"node.{node.layer}.{node.scale}.conv", x)
                 for j, (direction, delta) in enumerate(DIRECTIONS):
-                    if counts[j] == 0:
+                    if counts[i][j] == 0:
                         continue
                     # infer sends the path on its open samples only (None: all)
                     rows = None
-                    if mode == "infer" and counts[j] < B:
-                        rows = np.flatnonzero(needed[:, j])
+                    if mode == "infer" and counts[i][j] < B:
+                        rows = np.flatnonzero(needed[:, i, j])
                     y_rows = y
                     if rows is not None and rows.size < y.data.shape[0]:
                         y_rows = ad.gather_rows(y, rows if runs is None else np.searchsorted(runs, rows))
                     if mode == "train":
                         g = ad.take(open_gates, (slice(None), slice(j, j + 1), None, None))
                     else:
-                        g = Tensor(gates[slice(None) if rows is None else rows, j].reshape(-1, 1, 1, 1))
+                        g = Tensor(gates[slice(None) if rows is None else rows, i, j].reshape(-1, 1, 1, 1))
                     part = (rows, ad.mul(self._transform(node, direction, y_rows), g))
                     if direction == "keep" and layer == spec.num_layers:
-                        last_outputs[scale] = part
+                        last_outputs[node.scale] = part
                     else:
-                        target = scale + delta
-                        next_incoming.setdefault(target, []).append(part)
-                        next_open[target] = next_open.get(target, np.zeros(B)) + open_mask[:, j]
+                        next_incoming.setdefault(node.scale + delta, []).append(part)
             incoming = next_incoming
-            open_in = next_open
+            # open paths into the next layer's scales: keep, up from the
+            # scale above, down from the scale below
+            k_next = min(layer + 1, spec.num_scales)
+            open_in = np.zeros((B, k_next))
+            open_in[:, :k] += open_mask[:, :, 1]
+            open_in[:, : k - 1] += open_mask[:, 1:, 0]
+            open_in[:, 1:] += open_mask[:, : k_next - 1, 2]
+            lo += k
 
-        pyramid = self._project(last_outputs, B, H, W)
+        pyramid = self._project(last_outputs, B, mode)
         record = RouteRecord(
             node_ids=list(self.nodes),
-            gates=gates_np,
-            masks=masks_np,
+            gates={n: gates_all[:, i] for i, n in enumerate(self.nodes)},
+            masks={n: masks_all[:, i] for i, n in enumerate(self.nodes)},
             gate_tensors=gate_tensors if mode == "train" else None,
         )
         return pyramid, record
@@ -454,17 +543,37 @@ class Supernet:
         w = self._input_hw[1] // (8 * 2**scale)
         return h, w
 
-    def _node_gates(self, node, x, batch, forced) -> tuple[Tensor, np.ndarray]:
-        """The tensor a gate's gradient flows into and the (B, 3) gates,
-        boundary-masked: max(0, tanh) of the router's on x, or the forced
-        array's, which take no gradient."""
-        mask = self.node_masks[node]
-        if forced is not None and node in forced:
-            gates = np.empty((batch, 3))
-            np.multiply(forced[node], mask, out=gates)
-            return Tensor(gates), gates
-        t = self.router_forward(node, x)
-        return t, np.maximum(t.data, 0.0) * mask
+    def _forced_gate_array(self, forced, batch) -> tuple[np.ndarray, list[bool]]:
+        """The (B, N, 3) forced gates in node order, boundary-masked, zeros
+        at the other nodes, and per node whether it runs its router.
+
+        Raises UsageError naming the node for a key that is not one of the
+        net's nodes and for a gate array that is not (3,) or (B, 3) or
+        holds a value that is not finite or not in [0, 1].
+        """
+        gates = np.zeros((batch, len(self.nodes), 3))
+        routed = [True] * len(self.nodes)
+        shapes = ((3,), (batch, 3))
+        for node, value in (forced or {}).items():
+            i = self._index.get(node)
+            if i is None:
+                raise UsageError(f"forced_gates: {node!r} is not a node of this supernet")
+            value = np.asarray(value)
+            if value.shape not in shapes:
+                raise UsageError(
+                    f"forced_gates[{node}]: expected shape (3,) or ({batch}, 3), got {value.shape}"
+                )
+            try:
+                gates[:, i] = value
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"forced_gates[{node}]: {exc}") from None
+            routed[i] = False
+        in_range = (gates >= 0.0) & (gates <= 1.0)  # False at NaN
+        if not in_range.all():
+            node = self.nodes[np.flatnonzero(~in_range.all(axis=(0, 2)))[0]]
+            raise UsageError(f"forced_gates[{node}]: gates must be finite and in [0, 1]")
+        gates *= self._valid
+        return gates, routed
 
     def _transform(self, node: NodeId, direction: str, y: Tensor) -> Tensor:
         base = f"node.{node.layer}.{node.scale}"
@@ -474,25 +583,39 @@ class Supernet:
             return ad.bilinear_upsample_2x(ad.conv2d_1x1(y, self.params[f"{base}.up_w"]))
         return ad.conv2d_1x1(y, self.params[f"{base}.down_w"], stride=2)
 
-    def _project(self, last_outputs: dict[int, Part], B: int, H: int, W: int) -> list[Tensor]:
+    def _project(self, last_outputs: dict[int, Part], B: int, mode: str) -> list[Tensor]:
+        """The output projections and the extra level. In infer mode a
+        scale no route reaches is zeros, without its conv: the conv has
+        no bias and its matmul sums start at +0. Train mode runs it, so
+        proj.{s}.w still gets a (zero) gradient and momentum."""
         pyramid: list[Tensor] = []
         for s in range(self.spec.num_scales):
             if s in last_outputs:
                 rows, feat = last_outputs[s]
                 if rows is not None:
                     feat = _scatter_rows(feat, rows, B)
+            elif mode == "infer":
+                pyramid.append(Tensor(np.zeros((B, self.spec.head_channels) + self._scale_size(s))))
+                continue
             else:
                 feat = Tensor(np.zeros(self._node_shape(NodeId(self.spec.num_layers, s), B)))
             pyramid.append(ad.conv2d_1x1(feat, self.params[f"proj.{s}.w"]))
-        extra = ad.depthwise_separable_conv3x3(
-            pyramid[-1],
+        if mode == "infer":
+            self._extra_zero_rows.refresh()
+            extra = self._extra_zero_rows.run(lambda top: (self._extra_level(top),), pyramid[-1])[0]
+        else:
+            extra = self._extra_level(pyramid[-1])
+        pyramid.append(extra)
+        return pyramid
+
+    def _extra_level(self, top: Tensor) -> Tensor:
+        return ad.depthwise_separable_conv3x3(
+            top,
             self.params["extra.dw_w"],
             self.params["extra.pw_w"],
             self.params["extra.pw_b"],
             stride=2,
         )
-        pyramid.append(extra)
-        return pyramid
 
 
 def build_supernet(spec: SupernetSpec, seed: int = 0) -> Supernet:

@@ -5,6 +5,8 @@ import pytest
 
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor
+import dynroute.supernet as supernet_module
+from dynroute.costmodel import binary_route_cost, compile_cost_table, count_executed_madds
 from dynroute.errors import ConfigurationError, UsageError
 from dynroute.head_loss import DetectionHead, PyramidGeometry
 from dynroute.supernet import (
@@ -539,3 +541,284 @@ def test_one_op_gate_equals_the_old_chain_bytewise(monkeypatch):
     assert all(seen.values()), seen
     assert len(new_grads) == 3 * (len(net.nodes) - len(forced))
     assert router_grads() == new_grads
+
+
+def _count_layer_steps(monkeypatch):
+    """Each call of the layer step's binarize_gates, as whether its
+    gates were a (B, k, 3) layer array."""
+    steps = []
+    binarize = supernet_module.binarize_gates
+
+    def counted(gates, threshold):
+        steps.append(gates.ndim == 3)
+        return binarize(gates, threshold)
+
+    monkeypatch.setattr(supernet_module, "binarize_gates", counted)
+    return steps
+
+
+class TestForcedGateValidation:
+    """A bad forced_gates dict ends in a UsageError naming the node,
+    before any conv runs."""
+
+    @staticmethod
+    def _count_convs(monkeypatch):
+        calls = []
+        for op in ("depthwise_separable_conv3x3", "conv2d_1x1"):
+            fn = getattr(ad, op)
+            monkeypatch.setattr(ad, op, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize(
+        "bad, words",
+        [
+            (np.ones((3, 3)), "expected shape (3,) or (2, 3), got (3, 3)"),
+            (np.ones((1, 3)), "got (1, 3)"),
+            (np.array([0.5, np.nan, 0.5]), "finite and in [0, 1]"),
+            (np.array([[0.5, 0.5, 0.5], [0.5, np.inf, 0.5]]), "finite and in [0, 1]"),
+            (np.array([0.0, 2.0, 0.0]), "finite and in [0, 1]"),
+            (np.array([-0.5, 1.0, 0.0]), "finite and in [0, 1]"),
+            (np.array(["a", "b", "c"]), "could not convert"),
+        ],
+    )
+    def test_bad_gate_array_names_its_node(self, monkeypatch, mode, bad, words):
+        net = build_supernet(DESK_SPEC, seed=0)
+        forced = {n: np.ones(3) for n in net.nodes}
+        last = net.nodes[-1]  # checked last, so the check comes before the work
+        forced[last] = bad
+        calls = self._count_convs(monkeypatch)
+        with pytest.raises(UsageError) as info:
+            net.forward(_images(DESK_SPEC, 2, 1), mode=mode, forced_gates=forced)
+        assert str(last) in str(info.value)
+        assert words in str(info.value)
+        assert calls == []
+
+    def test_unknown_node_is_named(self, monkeypatch):
+        net = build_supernet(DESK_SPEC, seed=0)
+        calls = self._count_convs(monkeypatch)
+        for key in (NodeId(9, 0), NodeId(2, 2), "node.1.0"):
+            forced = {n: np.ones(3) for n in net.nodes}
+            forced[key] = np.ones(3)
+            with pytest.raises(UsageError, match="is not a node of this supernet") as info:
+                net.forward(_images(DESK_SPEC, 1, 1), mode="infer", forced_gates=forced)
+            assert repr(key) in str(info.value)
+        assert calls == []
+
+    def test_valid_arrays_pass(self):
+        """(3,) and (B, 3) arrays of bool, int and float gates in [0, 1],
+        a -0.0 among them, route alike."""
+        net = build_supernet(TINY_SPEC, seed=0)
+        imgs = _images(TINY_SPEC, 2, 3)
+        ref, _ = net.forward(imgs, mode="infer", forced_gates={n: np.ones((2, 3)) for n in net.nodes})
+        for value in (np.ones(3, dtype=bool), np.ones((2, 3), dtype=int), [1.0, 1.0, 1.0]):
+            forced = {n: value for n in net.nodes}
+            forced[NodeId(3, 0)] = np.array([-0.0, 1.0, 0.0])
+            pyramid, record = net.forward(imgs, mode="infer", forced_gates=forced)
+            for a, b in zip(pyramid, ref):
+                assert a.data.tobytes() == b.data.tobytes()
+            assert record.masks[NodeId(3, 0)][:, 1].all()
+
+
+class TestLayerSteps:
+    """Forced-route infer settles each layer's masks in one array step
+    and stops at the first layer no sample reaches."""
+
+    @staticmethod
+    def _dying_route(net, batch, layer, seed):
+        """Random gates, every one closed at layer, a few samples open
+        at every node before it (so the route reaches layer)."""
+        rng = np.random.default_rng(seed)
+        forced = {}
+        for n in net.nodes:
+            g = rng.uniform(0.0, 1.0, (batch, 3)) * (rng.random((batch, 3)) < 0.6)
+            g[: max(1, batch // 4)] = 0.8
+            if n.layer == layer:
+                g[:] = 0.0
+            forced[n] = g
+        return forced
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("dies_at", [1, 2, DESK_SPEC.num_layers])
+    def test_masks_follow_the_live_rule_and_the_route_dies(self, monkeypatch, batch, dies_at):
+        net = build_supernet(DESK_SPEC, seed=2)
+        imgs = _images(DESK_SPEC, batch, seed=dies_at)
+        table = compile_cost_table(DESK_SPEC, *imgs.data.shape[2:])
+        for seed in range(3):
+            forced = self._dying_route(net, batch, dies_at, seed)
+            ran = set()
+            block = {id(net.params[f"node.{n.layer}.{n.scale}.conv.pw_w"]): n for n in net.nodes}
+            sepconv = ad.depthwise_separable_conv3x3
+
+            def counted(x, w_dw, w_pw, *args, **kwargs):
+                if id(w_pw) in block:
+                    ran.add(block[id(w_pw)])
+                return sepconv(x, w_dw, w_pw, *args, **kwargs)
+
+            monkeypatch.setattr(ad, "depthwise_separable_conv3x3", counted)
+            steps = _count_layer_steps(monkeypatch)
+            pyramid, record = net.forward(imgs, mode="infer", forced_gates=forced)
+            monkeypatch.undo()
+            assert steps == [True] * dies_at  # the pass stops at the next layer
+            for n in net.nodes:
+                gates = forced[n] * net.node_masks[n]
+                assert record.gates[n].tobytes() == np.ascontiguousarray(gates).tobytes()
+                live = _live_rows(net, record, n)
+                want = binarize_gates(gates, DESK_SPEC.gate_threshold) & live[:, None]
+                assert np.array_equal(record.masks[n], want), n
+                if n.layer >= dies_at:
+                    assert not record.masks[n].any(), n
+                    assert n not in ran
+            assert ran == {n for n in net.nodes if record.masks[n].any()}
+            assert any(record.masks[n].any() for n in net.nodes if n.layer == dies_at - 1) or dies_at == 1
+            if dies_at < DESK_SPEC.num_layers:
+                assert not any(level.data.any() for level in pyramid[:-1])
+            cost = binary_route_cost(record.masks, table)
+            for b in range(batch):
+                counted_madds, _ = count_executed_madds(
+                    net, imgs.data[b], {n: m[b] for n, m in record.masks.items()}
+                )
+                assert cost[b] == float(counted_madds)
+
+    def test_a_later_router_keeps_the_pass_going(self):
+        """The pass stops early only when no node from there on has a
+        router: a router node after a dead layer still runs and records
+        its own gates, closed."""
+        net = build_supernet(DESK_SPEC, seed=0)
+        routed = NodeId(5, 1)
+        forced = {n: np.zeros(3) for n in net.nodes if n != routed}
+        calls = []
+        router = net.router_forward
+        net.router_forward = lambda node, x: calls.append((node, x.data.any())) or router(node, x)
+        _, record = net.forward(_images(DESK_SPEC, 1, 2), mode="infer", forced_gates=forced)
+        del net.router_forward
+        assert calls == [(routed, False)]
+        assert record.gates[routed].any()
+        assert not any(m.any() for m in record.masks.values())
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_closed_route_runs_no_conv_once_memos_are_warm(self, monkeypatch, batch):
+        """Once the extra-level memo holds its zero row, a fully closed
+        forced call runs no stem, node, projection or extra-level conv,
+        and gives the cold call's bytes."""
+        net = build_supernet(DESK_SPEC, seed=4)
+        net.params["extra.pw_b"].data[:] = np.linspace(-1e-9, 1e-9, DESK_SPEC.head_channels)
+        imgs = _images(DESK_SPEC, batch, seed=3)
+        closed = {n: np.zeros((batch, 3)) for n in net.nodes}
+        cold, _ = net.forward(imgs, mode="infer", forced_gates=closed)
+        names = {id(p): name for name, p in net.params.items()}
+        calls = []
+        sepconv, conv1x1 = ad.depthwise_separable_conv3x3, ad.conv2d_1x1
+
+        def counted_sepconv(x, w_dw, w_pw, *args, **kwargs):
+            calls.append(names[id(w_pw)])
+            return sepconv(x, w_dw, w_pw, *args, **kwargs)
+
+        def counted_conv1x1(x, w, *args, **kwargs):
+            calls.append(names[id(w)])
+            return conv1x1(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "depthwise_separable_conv3x3", counted_sepconv)
+        monkeypatch.setattr(ad, "conv2d_1x1", counted_conv1x1)
+        steps = _count_layer_steps(monkeypatch)
+        warm, record = net.forward(imgs, mode="infer", forced_gates=closed)
+        assert calls == []
+        assert steps == [True]  # layer 1's step; no sample reaches layer 2
+        monkeypatch.undo()
+        assert not any(m.any() for m in record.masks.values())
+        for a, b in zip(cold, warm):
+            assert a.data.tobytes() == b.data.tobytes()
+        # zero levels, then the extra level: the broadcast extra bias
+        assert all(not level.data.any() for level in warm[:-1])
+        bias = net.params["extra.pw_b"].data[None, :, None, None]
+        assert np.array_equal(warm[-1].data, np.broadcast_to(bias, warm[-1].data.shape))
+
+    def test_train_mode_projects_closed_scales(self):
+        """Train mode keeps the projection conv of a scale no route
+        reaches, so the optimizer still sees a gradient for proj.{s}.w."""
+        net = build_supernet(TINY_SPEC, seed=0)
+        closed = {n: np.zeros(3) for n in net.nodes}
+        with Tape() as tape:
+            pyramid, _ = net.forward(_images(TINY_SPEC, 1, 5), mode="train", forced_gates=closed)
+            tape.backward(ad.add(ad.tsum(pyramid[0]), ad.tsum(pyramid[-1])))
+        for s in range(TINY_SPEC.num_scales):
+            grad = net.params[f"proj.{s}.w"].grad
+            assert grad is not None and not grad.any()
+
+
+class TestExtraLevelMemo:
+    """Infer-mode extra-level rows over an all-zero last scale come from
+    one row computed per state of the extra.* parameters."""
+
+    @staticmethod
+    def _net():
+        net = build_supernet(DESK_SPEC, seed=7)
+        # as after training: a nonzero extra bias
+        net.params["extra.pw_b"].data[:] = np.random.default_rng(0).normal(0, 1e-3, DESK_SPEC.head_channels)
+        return net
+
+    @staticmethod
+    def _routes(net, batch):
+        """Dense routes, with the last scale's keep path closed on the
+        even samples (on the one sample at batch 1)."""
+        top = NodeId(DESK_SPEC.num_layers, DESK_SPEC.num_scales - 1)
+        forced = {n: np.ones((batch, 3)) for n in net.nodes}
+        forced[top][::2, 1] = 0.0
+        return forced
+
+    @staticmethod
+    def _count_extra_rows(monkeypatch, net):
+        rows = []
+        sepconv = ad.depthwise_separable_conv3x3
+        extra = id(net.params["extra.pw_w"])
+
+        def counted(x, w_dw, w_pw, *args, **kwargs):
+            if id(w_pw) == extra:
+                rows.append(x.data.shape[0])
+            return sepconv(x, w_dw, w_pw, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "depthwise_separable_conv3x3", counted)
+        return rows
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_equals_the_conv_on_every_row(self, monkeypatch, batch):
+        net = self._net()
+        imgs = _images(DESK_SPEC, batch, seed=5)
+        forced = self._routes(net, batch)
+        rows = self._count_extra_rows(monkeypatch, net)
+        for _ in range(2):  # cold, then warm
+            pyramid, _ = net.forward(imgs, mode="infer", forced_gates=forced)
+        closed = ~pyramid[-2].data.any(axis=(1, 2, 3))
+        assert closed.tolist() == [b % 2 == 0 for b in range(batch)]
+        # cold: the open rows plus one zero row; warm: the open rows only
+        open_rows = batch - int(closed.sum())
+        assert rows == [n for n in (open_rows + 1, open_rows) if n]
+        monkeypatch.undo()
+        full = net._extra_level(pyramid[-2])
+        assert pyramid[-1].data.tobytes() == full.data.tobytes()
+        bias = net.params["extra.pw_b"].data[None, :, None, None]
+        assert np.array_equal(pyramid[-1].data[closed], np.broadcast_to(bias, pyramid[-1].data[closed].shape))
+
+    @pytest.mark.parametrize("name", ["extra.dw_w", "extra.pw_w", "extra.pw_b", "pw_b_sign"])
+    def test_parameter_edit_empties_the_memo(self, monkeypatch, name):
+        net = self._net()
+        imgs = _images(DESK_SPEC, 4, seed=6)
+        forced = self._routes(net, 4)
+        net.forward(imgs, mode="infer", forced_gates=forced)
+        if name == "pw_b_sign":
+            bias = net.params["extra.pw_b"].data
+            bias[:] = 0.0
+            net.forward(imgs, mode="infer", forced_gates=forced)  # refill at +0.0
+            bias[0] = -0.0  # equal as a float, not as bytes
+        else:
+            net.params[name].data[..., 0] += 0.5
+        rows = self._count_extra_rows(monkeypatch, net)
+        pyramid, _ = net.forward(imgs, mode="infer", forced_gates=forced)
+        assert rows == [3]  # the two open rows and one zero row refill it
+        monkeypatch.undo()
+        fresh = build_supernet(DESK_SPEC, seed=7)
+        fresh.load_state(net.state_arrays())
+        ref, _ = fresh.forward(imgs, mode="infer", forced_gates=forced)
+        for a, b in zip(pyramid, ref):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert pyramid[-1].data.tobytes() == net._extra_level(pyramid[-2]).data.tobytes()
