@@ -85,7 +85,10 @@ def _parse(blob: bytes, path) -> tuple[dict[str, np.ndarray], dict]:
 
 def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
     """Copy arrays into the same-named parameters; every parameter must be
-    present with its own shape."""
+    present with its own shape, and every array must be a parameter."""
+    for name in arrays:
+        if name not in params:
+            raise UsageError(f"checkpoint array {name} is not a parameter of this model")
     for name, tensor in params.items():
         if name not in arrays:
             raise UsageError(f"checkpoint missing parameter {name}")

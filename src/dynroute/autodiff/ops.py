@@ -32,6 +32,9 @@ tape holds none between forward and backward.
 A conv block (separable conv, bias, ReLU) is one op and one tape entry:
 with relu=True the op clamps its own fresh output in place, byte-equal
 to np.where(x > 0, x, 0.0), and its backward rebuilds the mask from it.
+A trellis node's router (region means, 1x1 mix, spatial mean, row
+standardization, dense layer, tanh) is one op too (router), sharing
+avg_pool_to's region code and the pointwise kernels above.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ConfigurationError
-from .tensor import Tensor, active_tape, record
+from .tensor import Tensor, _first_grad, active_tape, record
 
 
 def _require_nchw(name: str, x: Tensor) -> None:
@@ -199,43 +202,82 @@ def depthwise_separable_conv3x3(
     return record(inputs, out, backward)
 
 
-def avg_pool_to(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Adaptive average pooling to a fixed output size.
+def _region_means(x: np.ndarray, out_h: int, out_w: int):
+    """Adaptive average pooling of (B, C, H, W) features to (B, C, out_h,
+    out_w), and the map of an output gradient back to the features.
 
     Region boundaries follow floor(i*H/oh) .. ceil((i+1)*H/oh); with an
     output larger than the input this degenerates to replication.
     """
-    _require_nchw("avg_pool_to", x)
-    B, C, H, W = x.data.shape
+    B, C, H, W = shape = x.shape
     rows = [(i * H // out_h, -(-(i + 1) * H // out_h)) for i in range(out_h)]
     cols = [(j * W // out_w, -(-(j + 1) * W // out_w)) for j in range(out_w)]
     out = np.empty((B, C, out_h, out_w))
     for i, (r0, r1) in enumerate(rows):
         for j, (c0, c1) in enumerate(cols):
-            out[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
-    x_shape = x.data.shape
+            out[:, :, i, j] = x[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
 
     def backward(g):
-        gx = np.zeros(x_shape)
+        gx = np.zeros(shape)
         for i, (r0, r1) in enumerate(rows):
             for j, (c0, c1) in enumerate(cols):
                 area = (r1 - r0) * (c1 - c0)
                 gx[:, :, r0:r1, c0:c1] += g[:, :, i : i + 1, j : j + 1] / area
-        return (gx,)
+        return gx
 
-    return record((x,), out, backward)
+    return out, backward
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial dimensions, returning (B, C)."""
-    _require_nchw("global_avg_pool", x)
-    B, C, H, W = x.data.shape
-    out = x.data.mean(axis=(2, 3))
+def avg_pool_to(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Adaptive average pooling to a fixed output size (_region_means)."""
+    _require_nchw("avg_pool_to", x)
+    out, backward = _region_means(x.data, out_h, out_w)
+    return record((x,), out, lambda g: (backward(g),))
+
+
+def router(x: Tensor, conv_w: Tensor, fc_w: Tensor, fc_b: Tensor) -> Tensor:
+    """A trellis node's router as one op: the (B, 3) tanh of its logits.
+
+    The (B, C, H, W) features are pooled to their 2x2 region means,
+    mixed by the (C, C) 1x1 weights conv_w (_pointwise), averaged over
+    space, standardized per row (zero mean, unit variance over channels,
+    eps 1e-6) and mapped by the dense layer fc_w (C, 3), fc_b (3,).
+    Forward and backward repeat the float steps of the chain of generic
+    ops it replaced (avg_pool_to, conv2d_1x1, spatial mean, row
+    standardization, fully_connected, tanh) in order, each intermediate's
+    gradient passed through _first_grad as the tape would.
+    """
+    _require_nchw("router", x)
+    pooled, pool_backward = _region_means(x.data, 2, 2)
+    mixed = _pointwise(conv_w.data, pooled)
+    means = mixed.mean(axis=(2, 3))
+    inv_c = 1.0 / means.shape[1]
+    c = means - np.sum(means, axis=1, keepdims=True) * inv_c
+    sd = np.sqrt(np.sum(c * c, axis=1, keepdims=True) * inv_c + 1e-6)
+    rows = c / sd
+    logits = rows @ fc_w.data + fc_b.data
+    out = np.tanh(logits)
+    w_mix, w_fc = conv_w.data, fc_w.data
 
     def backward(g):
-        return (np.broadcast_to(g[:, :, None, None] / (H * W), (B, C, H, W)).copy(),)
+        g_logits = _first_grad(g * (1.0 - out * out), logits)
+        g_rows = _first_grad(g_logits @ w_fc.T, rows)
+        g_sd = np.sum(-g_rows * c / (sd * sd), axis=1, keepdims=True)
+        g_c = g_rows / sd + 0.0 + 2.0 * c * (g_sd * 0.5 / sd * inv_c)
+        # the centered rows' gradient first, then their mean's, as the
+        # chain's standardization handed them to the tape one at a time
+        g_means = _first_grad(g_c, means)
+        g_means += np.sum(-g_c, axis=1, keepdims=True) * inv_c + 0.0
+        g_mixed = _first_grad(np.broadcast_to(g_means[:, :, None, None] / 4, mixed.shape), mixed)
+        g_pooled = _first_grad(np.einsum("oc,bohw->bchw", w_mix, g_mixed), pooled)
+        return (
+            pool_backward(g_pooled),
+            np.einsum("bohw,bchw->oc", g_mixed, pooled),
+            rows.T @ g_logits,
+            g_logits.sum(axis=0),
+        )
 
-    return record((x,), out, backward)
+    return record((x, conv_w, fc_w, fc_b), out, backward)
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -13,12 +13,15 @@ Conventions:
     broadcast axes (see _unbroadcast)
   * take is the one tracked gather: it accepts any numpy index key and
     returns a copy, never a view
-  * the generic ops here serve several formulas; a formula with an op of
-    its own (standardize_rows here; the focal and IoU terms in head_loss,
-    the path-similarity loss, the network cost in costmodel) repeats the
-    float steps of the generic chain it replaced, so results do not
-    change, and ops outside this module call record through the module
-    at call time, so tools that wrap it see them
+  * the generic ops here (add, mul, exp, clamp, tsum, reshape, concat,
+    take, straight_through) serve several formulas; a formula with an op
+    of its own (the router in ops.py; the focal and IoU terms in
+    head_loss, the path-similarity loss, the global budget loss, the
+    network cost in costmodel) repeats the float steps of the generic
+    chain it replaced, each intermediate's gradient passed through
+    _first_grad as the tape would, so results do not change, and ops
+    outside this module call record through the module at call time, so
+    tools that wrap it see them
 """
 
 from __future__ import annotations
@@ -121,10 +124,17 @@ class Tape:
                 if tensor.grad is not None:
                     tensor.grad += grad
                 else:
-                    # a copy in tensor.data's memory layout, as zeros_like
-                    # plus += gives: sums over the gradient keep their order
-                    tensor.grad = np.empty_like(tensor.data)
-                    np.add(grad, 0.0, out=tensor.grad)
+                    tensor.grad = _first_grad(grad, tensor.data)
+
+
+def _first_grad(grad: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """A first gradient as the tape stores it: grad + 0.0 (so no -0.0),
+    in data's shape and memory layout, as zeros_like plus += gives, so
+    sums over it keep their order. An op that folds a chain of ops
+    passes each intermediate's gradient through it."""
+    out = np.empty_like(data)
+    np.add(grad, 0.0, out=out)
+    return out
 
 
 def record(inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:
@@ -161,7 +171,7 @@ def _broadcasting(name: str, op, a: Tensor, b: Tensor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# elementwise ops and the sum
 # ---------------------------------------------------------------------------
 
 
@@ -170,15 +180,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return record((a, b), out, backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcasting("sub", np.subtract, a, b)
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
     return record((a, b), out, backward)
 
@@ -196,19 +197,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record((a, b), out, backward)
 
 
-def square(a: Tensor) -> Tensor:
-    a_data = a.data
-    return record((a,), a_data * a_data, lambda g: (2.0 * a_data * g,))
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return record((a,), out, lambda g: (g * out,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return record((a,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def straight_through(a: Tensor, value, passes: np.ndarray | None = None) -> Tensor:
@@ -233,41 +224,9 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return record((a,), out, lambda g: (g * mask,))
 
 
-# ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-
 def tsum(a: Tensor) -> Tensor:
     shape = a.data.shape
     return record((a,), np.sum(a.data), lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    shape = a.data.shape
-    return record(
-        (a,), np.mean(a.data), lambda g: (np.broadcast_to(g / n, shape).copy(),)
-    )
-
-
-def standardize_rows(v: Tensor, eps: float = 1e-6) -> Tensor:
-    """(B, F) rows shifted to zero mean and divided by sqrt(var + eps),
-    with the float arithmetic of the chain of generic ops it replaces.
-    v is listed twice: the gradients through the centered rows and their
-    mean reach v one at a time, free of -0.0, as through the chain."""
-    x = v.data
-    inv_w = 1.0 / x.shape[1]
-    c = x - np.sum(x, axis=1, keepdims=True) * inv_w
-    sd = np.sqrt(np.sum(c * c, axis=1, keepdims=True) * inv_w + eps)
-
-    def backward(g):
-        g_sd = np.sum(-g * c / (sd * sd), axis=1, keepdims=True)
-        g_c = g / sd + 0.0 + 2.0 * c * (g_sd * 0.5 / sd * inv_w)
-        g_mean = np.sum(-g_c, axis=1, keepdims=True) * inv_w + 0.0
-        return g_c, np.broadcast_to(g_mean, x.shape)
-
-    return record((v, v), c / sd, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     corpus = load_corpus(args.data)
     model = model_from_config(config)
+    corpus_cost_table(model, corpus)  # an empty corpus or a bad image size fails before --out exists
     tc = train_config_from(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

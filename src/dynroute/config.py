@@ -248,7 +248,10 @@ def synth_config_from(config: dict) -> SynthConfig:
 
 def head_from(config: dict) -> dict:
     """tower_depth of the detection head."""
-    return _section(config, "head", tower_depth=_int)
+    head = _section(config, "head", tower_depth=_int)
+    if head["tower_depth"] < 1:
+        raise ConfigurationError(f"config key head.tower_depth must be >= 1, got {head['tower_depth']}")
+    return head
 
 
 def train_config_from(config: dict) -> TrainConfig:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .autodiff import tensor as ad_tensor
 from .errors import ConfigurationError, DataError, UsageError
 
 STRATEGIES = ("fixed", "loss_aware", "scale_dynamic")
@@ -72,13 +73,24 @@ def expected_budget(s: np.ndarray, c0: float, m: int) -> float:
 
 
 def global_budget_loss(c_net, c_expect) -> Tensor:
-    """Squared gap between normalized network cost and budget, batch mean.
+    """Squared gap between normalized network cost and budget, batch mean,
+    as one op with the float steps of the sub, square and mean ops it
+    replaced (and the + 0.0 the tape gives a first gradient).
 
     Both arguments are in normalized (cost / total-cost) units; c_net may
-    be a Tensor of per-sample costs, c_expect a constant of the same shape.
+    be a Tensor of per-sample costs, c_expect a constant of the same shape
+    (ConfigurationError otherwise).
     """
-    gap = ad.sub(ad.as_tensor(c_net), ad.as_tensor(c_expect))
-    return ad.mean(ad.square(gap))
+    c_net, c_expect = ad.as_tensor(c_net), ad.as_tensor(c_expect)
+    if c_net.shape != c_expect.shape:
+        raise ConfigurationError(f"global_budget_loss: shapes {c_net.shape} and {c_expect.shape} differ")
+    gap = c_net.data - c_expect.data
+
+    def backward(g):
+        g_gap = 2.0 * gap * (np.broadcast_to(g / gap.size, gap.shape) + 0.0) + 0.0
+        return g_gap, -g_gap
+
+    return ad_tensor.record((c_net, c_expect), np.mean(gap * gap), backward)
 
 
 class LossAwareBudget:

@@ -61,17 +61,18 @@ a tape the channel contractions run as BLAS matmul, see autodiff/ops.py):
   the extra.* parameters (ZeroRowMemo, shared with the detection head);
   for a trained model that row is the broadcast extra.pw_b.
 
-The router pools its input, mixes channels, and standardizes the pooled
-vector of each sample (zero mean, unit variance over channels; one
-ad.standardize_rows op) before the 3-way dense layer, so its gates do
-not depend on the overall scale of the features, only on their channel
-pattern. Its gate is
-max(0, tanh(logit)), boundary-masked; forced gates (numpy arrays) replace
-it and take no gradient. In train mode a node's gate and masks are one
-straight-through op on the tanh: it forwards the open gates and passes
-the gradient at the valid directions of live rows, so a closed gate
-keeps the tanh gradient and the budget can open it again when a
-sample's route costs less than its target.
+The router is one op with one tape entry (ad.router): it pools its
+input to 2x2 region means, mixes channels with a 1x1 conv, averages over
+space and standardizes the pooled vector of each sample (zero mean, unit
+variance over channels) before the 3-way dense layer and tanh, so its
+gates do not depend on the overall scale of the features, only on their
+channel pattern. Its gate is max(0, tanh(logit)), boundary-masked;
+forced gates (numpy arrays) replace it and take no gradient. In train
+mode a node's gate and masks are one straight-through op on the tanh:
+it forwards the open gates and passes the gradient at the valid
+directions of live rows, so a closed gate keeps the tanh gradient and
+the budget can open it again when a sample's route costs less than its
+target.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ class SupernetSpec:
                 raise ConfigurationError(
                     f"channels must double between adjacent scales, got {a} -> {b}"
                 )
-        if self.gate_threshold <= 0:
-            raise ConfigurationError("gate_threshold must be positive")
+        if not 0 < self.gate_threshold <= 1:  # above 1 no tanh gate opens
+            raise ConfigurationError(f"gate_threshold must be in (0, 1], got {self.gate_threshold}")
         if self.head_channels < 1 or self.in_channels < 1:
             raise ConfigurationError("head_channels and in_channels must be >= 1")
 
@@ -349,16 +350,10 @@ class Supernet:
         return x
 
     def router_forward(self, node: NodeId, x: Tensor) -> Tensor:
-        """The (B, 3) tanh of the router's logits; the gates are its
-        positive part, boundary-masked (see forward)."""
+        """The (B, 3) tanh of the router's logits, one op (ad.router); the
+        gates are its positive part, boundary-masked (see forward)."""
         base = f"node.{node.layer}.{node.scale}.router"
-        pooled = ad.avg_pool_to(x, 2, 2)
-        mixed = ad.conv2d_1x1(pooled, self.params[f"{base}.conv_w"])
-        squeezed = ad.global_avg_pool(mixed)
-        logits = ad.fully_connected(
-            ad.standardize_rows(squeezed), self.params[f"{base}.fc_w"], self.params[f"{base}.fc_b"]
-        )
-        return ad.tanh(logits)
+        return ad.router(x, *(self.params[f"{base}.{k}"] for k in ("conv_w", "fc_w", "fc_b")))
 
     # -- forward ------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from dynroute.autodiff.tensor import record
 from dynroute.costmodel import CostConstants, NodeCost, network_cost
 from dynroute.errors import ConfigurationError, UsageError
 from dynroute.head_loss import _focal_loss, _iou_loss
+from dynroute.scale_budget import global_budget_loss
 from dynroute.similarity import (
     SimilarityConfig,
     gt_similarity,
@@ -406,9 +407,17 @@ def test_depthwise_backward_skips_padding_taps_bytewise(monkeypatch, stride):
 
 @pytest.mark.parametrize("name", ["add", "sub", "mul"])
 def test_elementwise_shape_mismatch_names_op_and_shapes(name):
+    """add and mul name themselves and both shapes; sub's gap now lives in
+    the budget loss op, which names itself and both shapes, and wants
+    them equal."""
     a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4,)))
-    with pytest.raises(ConfigurationError, match=rf"^{name}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
-        getattr(ad, name)(a, b)
+    op, label, verdict = {
+        "add": (ad.add, "add", "do not broadcast"),
+        "sub": (global_budget_loss, "global_budget_loss", "differ"),
+        "mul": (ad.mul, "mul", "do not broadcast"),
+    }[name]
+    with pytest.raises(ConfigurationError, match=rf"^{label}: shapes \(2, 3\) and \(4,\) {verdict}$"):
+        op(a, b)
 
 
 def test_shape_mismatch_raises_configuration_error():
@@ -429,7 +438,7 @@ def test_backward_sum_is_ones():
 def test_backward_sum_square_is_2x():
     x = Tensor(np.random.default_rng(1).normal(size=(4,)), requires_grad=True)
     with Tape() as tape:
-        loss = ad.tsum(ad.square(x))
+        loss = ad.tsum(ad.mul(x, x))
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
 
@@ -464,40 +473,139 @@ def test_first_gradient_broadcasts_to_the_shape_of_data():
 def test_backward_requires_scalar_loss():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with Tape() as tape:
-        out = ad.square(x)
+        out = ad.mul(x, x)
         with pytest.raises(UsageError, match="scalar"):
             tape.backward(out)
 
 
 def test_standardize_rows_matches_numpy_mean_and_var():
+    """The router standardizes each sample's channel means: with 1x1 maps,
+    an identity mix and a dense layer that reads three channels at a
+    time, its outputs are the tanh of (m - mean) / sqrt(var + 1e-6)."""
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(4, 7)) * np.array([[1e-3], [1.0], [50.0], [1.0]])
-    x[3] = 2.5  # a constant row standardizes to zeros
-    got = ad.standardize_rows(Tensor(x)).data
-    mean = np.mean(x, axis=1, keepdims=True)
-    var = np.var(x, axis=1, keepdims=True)
-    np.testing.assert_allclose(got, (x - mean) / np.sqrt(var + 1e-6), rtol=0, atol=1e-12)
-    assert np.all(got[3] == 0.0)
+    m = rng.normal(size=(4, 7)) * np.array([[1e-3], [1.0], [50.0], [1.0]])
+    m[3] = 2.5  # a constant row standardizes to zeros
+    want = (m - np.mean(m, axis=1, keepdims=True)) / np.sqrt(np.var(m, axis=1, keepdims=True) + 1e-6)
+    for cols in ([0, 1, 2], [3, 4, 5], [6, 0, 1]):
+        fc_w = Tensor(np.eye(7)[:, cols])
+        got = ad.router(Tensor(m[:, :, None, None]), Tensor(np.eye(7)), fc_w, Tensor(np.zeros(3))).data
+        np.testing.assert_allclose(got, np.tanh(want[:, cols]), rtol=0, atol=1e-12)
+        assert np.all(got[3] == 0.0)
 
 
 def test_standardize_rows_adds_its_two_gradient_parts_in_turn():
-    """v's gradient through the centered rows, then the one through their
-    mean, are added one at a time to what v already holds from a later
-    consumer, as for the chain of generic ops the op replaces."""
+    """The router's standardization hands the channel means the gradient
+    through the centered rows, then the one through their mean (their
+    sum times 1/C), one after the other, as the tape did for the chain of
+    generic ops; not the textbook g_c - mean(g_c). With an identity mix
+    on one-pixel regions each pixel's gradient is a quarter of its
+    channel mean's, added to what x already holds from a later consumer."""
     rng = np.random.default_rng(5)
-    x, g, prev = rng.normal(size=(3, 3, 6))
+    x, prev = rng.normal(size=(2, 3, 6, 2, 2))
+    G, fc_w = rng.normal(size=(3, 3)), rng.normal(size=(6, 3))
     v = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        out = ad.standardize_rows(v)
-        tape.backward(ad.add(ad.tsum(ad.mul(out, Tensor(g))), ad.tsum(ad.mul(v, Tensor(prev)))))
+        out = ad.router(v, Tensor(np.eye(6)), Tensor(fc_w), Tensor(np.zeros(3)))
+        tape.backward(ad.add(ad.tsum(ad.mul(out, Tensor(G))), ad.tsum(ad.mul(v, Tensor(prev)))))
+    means = x.mean(axis=(2, 3))
     inv_w = 1.0 / 6
-    c = x - np.sum(x, axis=1, keepdims=True) * inv_w
+    c = means - np.sum(means, axis=1, keepdims=True) * inv_w
     sd = np.sqrt(np.sum(c * c, axis=1, keepdims=True) * inv_w + 1e-6)
+    g = (G * (1.0 - out.data * out.data)) @ fc_w.T
     g_sd = np.sum(-g * c / (sd * sd), axis=1, keepdims=True)
     g_c = g / sd + 2.0 * c * (g_sd * 0.5 / sd * inv_w)
     g_mean = np.sum(-g_c, axis=1, keepdims=True) * inv_w
-    assert np.array_equal(v.grad, (prev + g_c) + g_mean)
-    assert not np.array_equal(v.grad, prev + (g_c + g_mean))
+    for g_means, same in ((g_c + g_mean, True), (g_c - np.mean(g_c, axis=1, keepdims=True), False)):
+        assert np.array_equal(v.grad, prev + (g_means / 4)[:, :, None, None]) == same
+
+
+def _tanh(a):
+    out = np.tanh(a.data)
+    return record((a,), out, lambda g: (g * (1.0 - out * out),))
+
+
+def _global_avg_pool(x):
+    B, C, H, W = x.data.shape
+    return record(
+        (x,), x.data.mean(axis=(2, 3)), lambda g: (np.broadcast_to(g[:, :, None, None] / (H * W), (B, C, H, W)).copy(),)
+    )
+
+
+def _standardize_rows(v, eps=1e-6):
+    x = v.data
+    inv_w = 1.0 / x.shape[1]
+    c = x - np.sum(x, axis=1, keepdims=True) * inv_w
+    sd = np.sqrt(np.sum(c * c, axis=1, keepdims=True) * inv_w + eps)
+
+    def backward(g):
+        g_sd = np.sum(-g * c / (sd * sd), axis=1, keepdims=True)
+        g_c = g / sd + 0.0 + 2.0 * c * (g_sd * 0.5 / sd * inv_w)
+        g_mean = np.sum(-g_c, axis=1, keepdims=True) * inv_w + 0.0
+        return g_c, np.broadcast_to(g_mean, x.shape)
+
+    return record((v, v), c / sd, backward)
+
+
+def _chain_router(x, conv_w, fc_w, fc_b):
+    """The router as the chain of generic ops it was before it became one
+    op, rebuilt from copies of the ops deleted with it."""
+    mixed = ad.conv2d_1x1(ad.avg_pool_to(x, 2, 2), conv_w)
+    return _tanh(ad.fully_connected(_standardize_rows(_global_avg_pool(mixed)), fc_w, fc_b))
+
+
+@pytest.mark.parametrize(
+    "shape, layout",
+    [
+        ((1, 3, 1, 1), "c"),
+        ((16, 4, 2, 2), "c"),
+        ((16, 5, 3, 5), "c"),
+        ((1, 6, 8, 8), "c"),
+        ((16, 1, 3, 5), "c"),
+        ((16, 4, 4, 6), "upsampled"),
+        ((1, 5, 6, 2), "upsampled"),
+    ],
+)
+def test_router_equals_the_chain_of_generic_ops_bytewise(shape, layout):
+    """Output and the gradients of x and the three parameters equal, bit
+    for bit, those of the chain of generic ops the router op replaces,
+    with and without a tape: on 1x1, 2x2, 3x5 (uneven, overlapping
+    regions) and 8x8 maps, one channel, batch 1 and 16, features in the
+    transposed layout bilinear_upsample_2x returns, an x that already
+    holds a gradient from a later consumer, and upstream gradients with
+    +0.0 and -0.0 entries."""
+    B, C, H, W = shape
+    rng = np.random.default_rng(sum(shape))
+    if layout == "upsampled":
+        x_data = ad.bilinear_upsample_2x(Tensor(rng.normal(size=(B, C, H // 2, W // 2)))).data
+        assert not x_data.flags.c_contiguous
+    else:
+        x_data = rng.normal(size=shape)
+    params = [rng.normal(size=(C, C)), rng.normal(size=(C, 3)), rng.normal(size=3)]
+    upstream = rng.normal(size=(B, 3))
+    upstream[rng.random(upstream.shape) < 0.3] = 0.0
+    upstream[rng.random(upstream.shape) < 0.3] = -0.0
+    prev = rng.normal(size=shape)
+    results = []
+    for router in (ad.router, _chain_router):
+        tapeless = router(Tensor(x_data), *(Tensor(p) for p in params)).data
+        inputs = [Tensor(x_data.copy(order="K"), requires_grad=True)] + [Tensor(p.copy(), requires_grad=True) for p in params]
+        assert inputs[0].data.strides == x_data.strides
+        with Tape() as tape:
+            out = router(*inputs)
+            loss = ad.add(ad.tsum(ad.mul(out, Tensor(upstream))), ad.tsum(ad.mul(inputs[0], Tensor(prev))))
+            tape.backward(loss)
+        results.append((tapeless.tobytes(), out.data.tobytes(), [t.grad.tobytes() for t in inputs]))
+    assert results[0] == results[1]
+
+
+def test_router_and_budget_loss_record_one_tape_entry():
+    rng = np.random.default_rng(6)
+    x, conv_w, fc_w, fc_b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 4, 3, 5), (4, 4), (4, 3), (3,)))
+    c_net = Tensor(rng.uniform(size=5), requires_grad=True)
+    for make in (lambda: ad.router(x, conv_w, fc_w, fc_b), lambda: global_budget_loss(c_net, Tensor(np.full(5, 0.3)))):
+        with Tape() as tape:
+            make()
+        assert len(tape) == 1
 
 
 def test_determinism_bit_identical():
@@ -517,7 +625,8 @@ def test_tape_replay_identical_losses():
 
     def run():
         with Tape() as tape:
-            loss = ad.tsum(ad.square(ad.fully_connected(x, w)))
+            y = ad.fully_connected(x, w)
+            loss = ad.tsum(ad.mul(y, y))
             tape.backward(loss)
         return float(loss.data)
 
@@ -632,6 +741,11 @@ def _iou_ties(datas):
     return bool(np.any(np.abs(pred - _BOX_TARGETS) < _TIE_GUARD))
 
 
+_ROUTER_RNG = np.random.default_rng(12)
+_ROUTER_X = _ROUTER_RNG.normal(size=(4, 3, 2, 2))
+_MIX_3, _FC_3, _FC_5, _FC_B = (_ROUTER_RNG.uniform(-1.0, 1.0, s) for s in ((3, 3), (3, 3), (5, 3), (3,)))
+_FC_WIDE = 2.0 * _FC_3
+
 _NODE = NodeId(1, 0)
 _ONE_NODE_TABLE = CostConstants(
     SupernetSpec(), 32, 32, {_NODE: NodeCost(c_conv=3.0, c_up=0.5, c_keep=0.0, c_down=2.0)}, 0.0
@@ -640,33 +754,40 @@ _ONE_NODE_TABLE = CostConstants(
 OPS = [
     ("add", lambda a, b: ad.add(a, b), [(3, 4), (3, 4)], None),
     ("add_broadcast", lambda a, b: ad.add(a, b), [(3, 4), (4,)], None),
-    ("sub", lambda a, b: ad.sub(a, b), [(2, 3), (2, 3)], None),
+    # sub: the budget loss's gap, both of its sides tracked
+    ("sub", lambda a, b: global_budget_loss(a, b), [(2, 3), (2, 3)], None),
     ("mul", lambda a, b: ad.mul(a, b), [(2, 5), (2, 5)], None),
     ("mul_broadcast", lambda a, b: ad.mul(a, b), [(2, 5), (2, 1)], None),
-    ("square", ad.square, [(3, 3)], None),
+    # square: the budget loss against zero targets, mean(a * a)
+    ("square", lambda a: global_budget_loss(a, Tensor(np.zeros((3, 3)))), [(3, 3)], None),
     ("exp", ad.exp, [(2, 3)], None),
-    ("tanh", ad.tanh, [(7,)], None),
+    # tanh: a router's fc_b alone, logits spread over tanh's curve
+    ("tanh", lambda b: ad.router(Tensor(_ROUTER_X), Tensor(_MIX_3), Tensor(_FC_WIDE), b), [(3,)], None),
     ("clamp", lambda a: ad.clamp(a, -0.5, 0.5), [(4, 4)], _away_from(-0.5, 0.5)),
     # forward value equal to the input's function, so the identity backward
     # is the true gradient here; test_straight_through_* pin the other case
-    ("straight_through", lambda a: ad.straight_through(ad.square(a), np.square(a.data)), [(3, 4)], None),
+    ("straight_through", lambda a: ad.straight_through(ad.mul(a, a), np.square(a.data)), [(3, 4)], None),
     # with passes, a forward value of a's function times passes makes
     # g * passes the true gradient
     (
         "straight_through_passes",
-        lambda a: ad.straight_through(ad.square(a), np.square(a.data) * _PASSES, passes=_PASSES),
+        lambda a: ad.straight_through(ad.mul(a, a), np.square(a.data) * _PASSES, passes=_PASSES),
         [(3, 4)],
         None,
     ),
     (
         "straight_through_passes_row",
-        lambda a: ad.straight_through(ad.square(a), np.square(a.data) * _PASSES[0], passes=_PASSES[0]),
+        lambda a: ad.straight_through(ad.mul(a, a), np.square(a.data) * _PASSES[0], passes=_PASSES[0]),
         [(3, 4)],
         None,
     ),
     ("sum", ad.tsum, [(3, 4)], None),
-    ("standardize_rows", ad.standardize_rows, [(3, 5)], None),
-    ("mean", ad.mean, [(3, 4)], None),
+    # standardize_rows: a router on 1x1 maps with an identity mix, so its
+    # input rows are the standardized channel means themselves
+    ("standardize_rows", lambda x: ad.router(x, Tensor(np.eye(5)), Tensor(_FC_5), Tensor(_FC_B)), [(3, 5, 1, 1)], None),
+    # mean: the budget loss over a 2-D batch, 1/12 of each squared gap
+    ("mean", lambda a: global_budget_loss(a, Tensor(np.full((3, 4), 0.3))), [(3, 4)], None),
+    ("budget_loss", lambda c: global_budget_loss(c, Tensor(np.full(8, 0.3))), [(8,)], None),
     # the max over a node's gates, billed at c_conv, plus the direction costs
     ("network_cost", lambda a: network_cost({_NODE: a}, _ONE_NODE_TABLE), [(4, 3)], _max_ties),
     ("reshape", lambda a: ad.reshape(a, (6, 2)), [(3, 4)], None),
@@ -727,7 +848,9 @@ OPS = [
         _pre_activations_away_from_zero(2),
     ),
     ("avg_pool_to", lambda x: ad.avg_pool_to(x, 2, 2), [(1, 2, 5, 5)], None),
-    ("global_avg_pool", ad.global_avg_pool, [(2, 3, 4, 4)], None),
+    # global_avg_pool: a router's spatial mean of its 4x4 input's region means
+    ("global_avg_pool", lambda x: ad.router(x, Tensor(np.eye(3)), Tensor(_FC_3), Tensor(_FC_B)), [(2, 3, 4, 4)], None),
+    ("router", ad.router, [(2, 3, 3, 5), (3, 3), (3, 3), (3,)], None),
     ("fully_connected", ad.fully_connected, [(3, 4), (4, 2)], None),
     (
         "fully_connected_bias",
@@ -803,6 +926,14 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(loaded[k], arrays[k])
     header = path.read_bytes()[:16]
     assert header.startswith(b"DYNROUTE-CKPT-1\n")
+
+
+def test_load_params_rejects_an_array_no_parameter_takes():
+    params = {"a.w": Tensor(np.zeros((2, 3)))}
+    arrays = {"a.w": np.ones((2, 3)), "a.bogus": np.ones(2)}
+    with pytest.raises(UsageError, match="checkpoint array a.bogus is not a parameter"):
+        ad.load_params(params, arrays)
+    assert not params["a.w"].data.any()
 
 
 def test_checkpoint_rejects_wrong_header(tmp_path):

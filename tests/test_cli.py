@@ -126,6 +126,10 @@ class TestConfig:
         # negative seeds, which numpy's generators refuse
         ({"data": {"seed": -1}}, "data.seed"),
         ({"train": {"seed": -3}}, "train.seed"),
+        # a head without towers, and a threshold no tanh gate reaches
+        ({"head": {"tower_depth": 0}}, "head.tower_depth"),
+        ({"supernet": {"gate_threshold": 2.0}}, "gate_threshold"),
+        ({"supernet": {"gate_threshold": 0.0}}, "gate_threshold"),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):
@@ -174,6 +178,28 @@ def test_train_on_bad_annotations_exit_2_before_output(tmp_path, capsys, tiny_co
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "malformed annotations" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corpus", ["40x40", "empty"])
+def test_train_on_a_corpus_the_spec_cannot_run_exit_2_before_output(tmp_path, capsys, corpus):
+    """Images whose side is not a multiple of the default 4-scale net's 64,
+    or no images at all: exit 2 with one error line before --out exists."""
+    data = tmp_path / "corpus"
+    if corpus == "empty":
+        (data / "images").mkdir(parents=True)
+        (data / "annotations.jsonl").write_text("")
+    else:
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"data": {"image_size": 40, "num_images": 4}}))
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("divisible by 64" if corpus == "40x40" else "corpus is empty") in err
     assert not out.exists()
 
 
@@ -310,6 +336,25 @@ class TestCommands:
             "--format", "png", "--out", str(tmp_path / "x.png"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("extra", ["node.99.0.conv.pw_w", "head.bogus"])
+    @pytest.mark.parametrize("command", ["eval", "cost-report", "export-route"])
+    def test_checkpoint_with_an_unknown_array_exit_2(self, pipeline, tmp_path, capsys, extra, command):
+        arrays, meta = trainer.load_checkpoint(pipeline["run"] / "checkpoint.ckpt")
+        arrays[extra] = np.zeros(3)
+        ckpt = tmp_path / "extra.ckpt"
+        trainer.save_checkpoint(ckpt, arrays, meta)
+        data = {
+            "eval": ["--data", str(pipeline["data"]), "--report", str(tmp_path / "r.csv")],
+            "cost-report": ["--data", str(pipeline["data"]), "--out", str(tmp_path / "c.csv")],
+            "export-route": ["--image", str(pipeline["data"] / "images" / "img_00000.pgm"),
+                             "--out", str(tmp_path / "r.dot")],
+        }[command]
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(ckpt), *data])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and extra in err
 
     def test_missing_checkpoint_exit_2(self, tmp_path):
         code = main([

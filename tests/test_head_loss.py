@@ -397,6 +397,13 @@ _neg = _unary(np.negative, lambda g, x: -g)
 _sigmoid = _unary(_sigmoid_data, lambda g, x: g * _sigmoid_data(x) * (1.0 - _sigmoid_data(x)))
 _log_sigmoid = _unary(_log_sigmoid_data, lambda g, x: g * 0.5 * (np.tanh(-0.5 * x) + 1.0))
 _transpose = _unary(lambda x: x.transpose(0, 2, 3, 1), lambda g, x: g.transpose(0, 3, 1, 2))
+_square = _unary(lambda x: x * x, lambda g, x: 2.0 * x * g)
+
+
+def _sub(a, b):
+    """a - b; a is either b's shape or untracked, so neither gradient
+    needs unbroadcasting."""
+    return record((a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def _minimum(a, b):
@@ -419,8 +426,8 @@ def _chain_detection_loss(pred, targets):
         x = ad.reshape(_transpose(logits), (B, H * W, K))
         onehot = targets.cls_onehot[level]
         p = _sigmoid(x)
-        pos = ad.mul(ad.mul(Tensor(onehot), ad.square(ad.sub(Tensor(1.0), p))), _log_sigmoid(x))
-        neg = ad.mul(ad.mul(Tensor(1.0 - onehot), ad.square(p)), _log_sigmoid(_neg(x)))
+        pos = ad.mul(ad.mul(Tensor(onehot), _square(_sub(Tensor(1.0), p))), _log_sigmoid(x))
+        neg = ad.mul(ad.mul(Tensor(1.0 - onehot), _square(p)), _log_sigmoid(_neg(x)))
         elems = ad.add(ad.mul(pos, Tensor(FOCAL_ALPHA)), ad.mul(neg, Tensor(1.0 - FOCAL_ALPHA)))
         focal = _neg(ad.tsum(elems))
         total = focal if total is None else ad.add(total, focal)
@@ -435,8 +442,8 @@ def _chain_detection_loss(pred, targets):
             iw = ad.add(_minimum(pl, tl), _minimum(pr, tr))
             inter = ad.mul(iw, ad.add(_minimum(pt, tt), _minimum(pb, tb)))
             area_p = ad.mul(ad.add(pl, pr), ad.add(pt, pb))
-            union = ad.sub(ad.add(area_p, ad.mul(ad.add(tl, tr), ad.add(tt, tb))), inter)
-            iou_rows = ad.sub(Tensor(np.ones(len(b_idx))), _div(inter, union))
+            union = _sub(ad.add(area_p, ad.mul(ad.add(tl, tr), ad.add(tt, tb))), inter)
+            iou_rows = _sub(Tensor(np.ones(len(b_idx))), _div(inter, union))
             total = ad.add(total, ad.tsum(iou_rows))
             per_sample += np.bincount(b_idx, weights=iou_rows.data, minlength=len(per_sample))
     loss = ad.mul(total, Tensor(1.0 / max(1, targets.num_positives)))
@@ -626,7 +633,7 @@ class TestTotalLoss:
         b = Tensor(np.array(0.1), requires_grad=True)
         c = Tensor(np.array(0.2), requires_grad=True)
         with Tape() as tape:
-            out = total_loss(a, ad.square(b), ad.square(c), LossWeights(2.0, 3.0))
+            out = total_loss(a, ad.mul(b, b), ad.mul(c, c), LossWeights(2.0, 3.0))
             tape.backward(out)
         assert a.grad == pytest.approx(1.0)
         assert b.grad == pytest.approx(2.0 * 2 * 0.1)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor
+from dynroute.autodiff.tensor import record
 from dynroute.errors import ConfigurationError, DataError, UsageError
 from dynroute.scale_budget import (
     LossAwareBudget,
@@ -17,6 +18,15 @@ from dynroute.scale_budget import (
 )
 
 PAPER_INTERVALS = ScaleIntervals((64.0, 150.0, 360.0))
+
+
+def _chain_budget_loss(c_net, c_expect):
+    """global_budget_loss as the sub, square and mean chain it was before
+    it became one op, rebuilt from copies of those deleted ops."""
+    gap = record((c_net, c_expect), c_net.data - c_expect.data, lambda g: (g, -g))
+    sq = record((gap,), gap.data * gap.data, lambda g: (2.0 * gap.data * g,))
+    n, shape = sq.data.size, sq.data.shape
+    return record((sq,), np.mean(sq.data), lambda g: (np.broadcast_to(g / n, shape).copy(),))
 DESK_INTERVALS = ScaleIntervals((8.0, 16.0, 32.0))
 
 
@@ -104,6 +114,35 @@ class TestGlobalBudgetLoss:
                 tape.backward(loss)
             # descent direction moves cnet toward the target from either side
             assert np.sign(-c.grad[0]) == np.sign(target - cnet)
+
+    def test_shapes_that_differ_rejected(self):
+        for c_net, c_expect in ((np.zeros(4), np.zeros(3)), (np.zeros(4), np.zeros(())), (np.zeros((2, 2)), np.zeros(4))):
+            with pytest.raises(ConfigurationError, match="global_budget_loss: shapes"):
+                global_budget_loss(Tensor(c_net), Tensor(c_expect))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (8,), (3, 5)])
+    def test_equals_the_chain_of_generic_ops_bytewise(self, shape):
+        """Loss and the gradients of both arguments equal, bit for bit,
+        those of the sub, square and mean chain the op replaces, rebuilt
+        from copies of those deleted ops: with zero gaps, c_net already
+        holding a gradient from another consumer, and upstream gradients
+        of 0.9 and -0.45 (g / 15 is not g * (1 / 15) for either), +0.0
+        and -0.0."""
+        rng = np.random.default_rng(len(shape))
+        c_net = rng.uniform(0.0, 1.0, shape)
+        c_expect = rng.uniform(0.0, 1.0, shape)
+        if c_net.size > 1:
+            c_net.flat[0] = c_expect.flat[0]
+        prev = rng.normal(size=shape)
+        for scale in (0.9, -0.45, 0.0, -0.0):
+            results = []
+            for loss_fn in (global_budget_loss, _chain_budget_loss):
+                a, b = Tensor(c_net.copy(), requires_grad=True), Tensor(c_expect.copy(), requires_grad=True)
+                with Tape() as tape:
+                    loss = loss_fn(a, b)
+                    tape.backward(ad.add(ad.mul(loss, Tensor(scale)), ad.tsum(ad.mul(a, Tensor(prev)))))
+                results.append((loss.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()))
+            assert results[0] == results[1]
 
     def test_two_gate_toy_net_finite_differences(self):
         """Budget loss gradient through the network cost of a one-node table."""

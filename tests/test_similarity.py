@@ -18,6 +18,13 @@ from dynroute.similarity import (
 CFG = SimilarityConfig()  # min 0.6, max 0.95
 
 
+def _squared_gap(cos, target):
+    """(cos - target)^2 as the sub and square ops the loss was once built
+    from."""
+    gap = record((cos,), cos.data - target, lambda g: (g,))
+    return record((gap,), gap.data * gap.data, lambda g: (2.0 * gap.data * g,))
+
+
 def _cosine_op(u, v):
     """The generic cosine op of two 1-D tensors that the loss was once
     built from: 0 with zero gradient when either norm is zero."""
@@ -134,7 +141,7 @@ class TestLocalSimilarityLoss:
                 for j in range(i + 1, B):
                     target = gt_similarity(scale_similarity(enc[i], enc[j], 4), CFG)
                     cos = _cosine_op(ad.take(routes, i), ad.take(routes, j))
-                    gap = ad.square(ad.sub(cos, Tensor(target)))
+                    gap = _squared_gap(cos, target)
                     total = gap if total is None else ad.add(total, gap)
             return ad.mul(total, Tensor(1.0 / B))
 

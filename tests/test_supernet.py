@@ -449,9 +449,11 @@ def _old_gate_chain(net, node, x, live, forced):
     """A node's train-mode gate as the gating built it before it was one
     op: the router's straight-through and boundary-mask mul (or the
     forced array's reshape, ones mul and mask mul), a live-row mul when a
-    row is dead, and a straight-through to the open gates."""
+    row is dead, and a straight-through to the open gates; and the
+    router's tanh output (None for forced gates)."""
     B = live.shape[0]
     mask = Tensor(net.node_masks[node].astype(np.float64))
+    t = None
     if forced is None:
         t = net.router_forward(node, x)
         g = ad.mul(ad.straight_through(t, np.maximum(t.data, 0.0)), mask)
@@ -466,13 +468,13 @@ def _old_gate_chain(net, node, x, live, forced):
     open_mask = binarize_gates(gates, net.spec.gate_threshold) & live[:, None]
     if not live.all():
         g = ad.mul(g, Tensor(live[:, None].astype(np.float64)))
-    return ad.straight_through(g, gates * open_mask), gates, open_mask
+    return ad.straight_through(g, gates * open_mask), gates, open_mask, t
 
 
-def test_one_op_gate_equals_the_old_chain_bytewise(monkeypatch):
+def test_one_op_gate_equals_the_old_chain_bytewise():
     """Each node's gate op forwards the same open gates, and hands the
-    router's tanh input and parameters the same gradients, byte for byte,
-    as the old four-op chain fed the same upstream gradient.
+    router's tanh output and parameters the same gradients, byte for
+    byte, as the old four-op chain fed the same upstream gradient.
 
     Covered: logits below, at and above 0 (one router's fc_b is
     (-0.5, 0, 0.7) with fc_w 0), dead rows (sample 0's route is closed
@@ -489,15 +491,12 @@ def test_one_op_gate_equals_the_old_chain_bytewise(monkeypatch):
         NodeId(2, 1): np.array([0.7, 0.0, 0.5]),
     }
 
-    tanh_inputs = []
-    tanh = ad.tanh
-    monkeypatch.setattr(ad, "tanh", lambda a: tanh_inputs.append(a) or tanh(a))
     router_calls = {}
     router = net.router_forward
 
     def capturing_router(node, x):
         t = router(node, x)
-        router_calls[node] = (Tensor(x.data), tanh_inputs[-1])  # x.data keeps its memory layout
+        router_calls[node] = (Tensor(x.data), t)  # x.data keeps its memory layout
         return t
 
     net.router_forward = capturing_router
@@ -524,19 +523,19 @@ def test_one_op_gate_equals_the_old_chain_bytewise(monkeypatch):
         live = _live_rows(net, record, n)
         seen["dead"] |= not live.all()
         gate = record.gate_tensors[n]
-        x, logits = router_calls.get(n, (None, None))
+        x, tanh = router_calls.get(n, (None, None))
         with Tape() as tape:
-            old, gates, open_mask = _old_gate_chain(net, n, x, live, forced.get(n))
+            old, gates, open_mask, old_tanh = _old_gate_chain(net, n, x, live, forced.get(n))
             assert old.data.tobytes() == gate.data.tobytes()
             assert gates.tobytes() == record.gates[n].tobytes()
             assert np.array_equal(open_mask, record.masks[n])
             if n in forced:
                 assert not gate.requires_grad
                 continue
-            old_logits = tanh_inputs[-1]
             tape.backward(ad.tsum(ad.mul(old, Tensor(gate.grad))))
-        assert old_logits.grad.tobytes() == logits.grad.tobytes()
-        for sign, hit in (("negative", logits.data < 0), ("zero", logits.data == 0), ("positive", logits.data > 0)):
+        assert old_tanh.grad.tobytes() == tanh.grad.tobytes()
+        # tanh keeps the sign of its logit, and zero at zero
+        for sign, hit in (("negative", tanh.data < 0), ("zero", tanh.data == 0), ("positive", tanh.data > 0)):
             seen[sign] |= bool(hit.any())
     assert all(seen.values()), seen
     assert len(new_grads) == 3 * (len(net.nodes) - len(forced))
