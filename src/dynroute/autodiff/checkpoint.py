@@ -76,6 +76,8 @@ def _parse(blob: bytes, path) -> tuple[dict[str, np.ndarray], dict]:
     for name, shape in entries:
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=pos).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise UsageError(f"{path}: checkpoint array {name} is not finite")
         arrays[name] = arr.astype(np.float64)
         pos += n * 8
     if pos != len(blob):

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ConfigurationError
-from .tensor import Tensor, _first_grad, active_tape, record
+from .tensor import Tensor, _first_grad, _unbroadcast, active_tape, record
 
 
 def _require_nchw(name: str, x: Tensor) -> None:
@@ -106,8 +106,10 @@ def _depthwise_taps(x: np.ndarray, w_dw: np.ndarray, stride: int) -> np.ndarray:
     return np.ascontiguousarray(acc.transpose(2, 3, 0, 1))
 
 
-def conv2d_1x1(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """Pointwise convolution. Weight shape (C_out, C_in)."""
+def conv2d_1x1(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
+    """Pointwise convolution. Weight shape (C_out, C_in); bias (C_out,) or
+    None, its gradient summed over samples, then rows, then columns
+    (_unbroadcast; one sum over the three axes rounds differently)."""
     _require_nchw("conv2d_1x1", x)
     if stride not in (1, 2):
         raise ConfigurationError(f"conv2d_1x1: stride must be 1 or 2, got {stride}")
@@ -118,6 +120,8 @@ def conv2d_1x1(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         )
     xs = x.data[:, :, ::stride, ::stride]
     out = _pointwise(w.data, xs)
+    if b is not None:
+        out += b.data[None, :, None, None]
     x_shape = x.data.shape
     w_data = w.data
 
@@ -126,9 +130,11 @@ def conv2d_1x1(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         gx = np.zeros(x_shape)
         gx[:, :, ::stride, ::stride] = gxs
         gw = np.einsum("bohw,bchw->oc", g, xs)
-        return gx, gw
+        if b is None:
+            return gx, gw
+        return gx, gw, _unbroadcast(g, (1, g.shape[1], 1, 1)).reshape(-1)
 
-    return record((x, w), out, backward)
+    return record((x, w) if b is None else (x, w, b), out, backward)
 
 
 def depthwise_separable_conv3x3(
@@ -244,8 +250,7 @@ def router(x: Tensor, conv_w: Tensor, fc_w: Tensor, fc_b: Tensor) -> Tensor:
     eps 1e-6) and mapped by the dense layer fc_w (C, 3), fc_b (3,).
     Forward and backward repeat the float steps of the chain of generic
     ops it replaced (avg_pool_to, conv2d_1x1, spatial mean, row
-    standardization, fully_connected, tanh) in order, each intermediate's
-    gradient passed through _first_grad as the tape would.
+    standardization, fully_connected, tanh) in order.
     """
     _require_nchw("router", x)
     pooled, pool_backward = _region_means(x.data, 2, 2)
@@ -260,18 +265,17 @@ def router(x: Tensor, conv_w: Tensor, fc_w: Tensor, fc_b: Tensor) -> Tensor:
     w_mix, w_fc = conv_w.data, fc_w.data
 
     def backward(g):
-        g_logits = _first_grad(g * (1.0 - out * out), logits)
-        g_rows = _first_grad(g_logits @ w_fc.T, rows)
+        g_logits = g * (1.0 - out * out)
+        g_rows = g_logits @ w_fc.T
         g_sd = np.sum(-g_rows * c / (sd * sd), axis=1, keepdims=True)
-        g_c = g_rows / sd + 0.0 + 2.0 * c * (g_sd * 0.5 / sd * inv_c)
+        g_c = g_rows / sd + 2.0 * c * (g_sd * 0.5 / sd * inv_c)
         # the centered rows' gradient first, then their mean's, as the
         # chain's standardization handed them to the tape one at a time
-        g_means = _first_grad(g_c, means)
-        g_means += np.sum(-g_c, axis=1, keepdims=True) * inv_c + 0.0
+        g_means = g_c + np.sum(-g_c, axis=1, keepdims=True) * inv_c
+        # laid out as mixed, not as a broadcast view: the einsums sum in that order
         g_mixed = _first_grad(np.broadcast_to(g_means[:, :, None, None] / 4, mixed.shape), mixed)
-        g_pooled = _first_grad(np.einsum("oc,bohw->bchw", w_mix, g_mixed), pooled)
         return (
-            pool_backward(g_pooled),
+            pool_backward(np.einsum("oc,bohw->bchw", w_mix, g_mixed)),
             np.einsum("bohw,bchw->oc", g_mixed, pooled),
             rows.T @ g_logits,
             g_logits.sum(axis=0),

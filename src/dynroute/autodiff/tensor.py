@@ -11,17 +11,17 @@ Conventions:
     the first gradient arrives (in the layout of .data)
   * broadcasting in elementwise ops is undone in backward by summing the
     broadcast axes (see _unbroadcast)
-  * take is the one tracked gather: it accepts any numpy index key and
-    returns a copy, never a view
-  * the generic ops here (add, mul, exp, clamp, tsum, reshape, concat,
-    take, straight_through) serve several formulas; a formula with an op
-    of its own (the router in ops.py; the focal and IoU terms in
-    head_loss, the path-similarity loss, the global budget loss, the
-    network cost in costmodel) repeats the float steps of the generic
-    chain it replaced, each intermediate's gradient passed through
-    _first_grad as the tape would, so results do not change, and ops
-    outside this module call record through the module at call time, so
-    tools that wrap it see them
+  * the generic ops here (add, mul, exp, tsum, concat, straight_through)
+    serve several formulas; a formula with an op of its own (the path
+    gate here, the router in ops.py, the distances and loss terms in
+    head_loss, similarity, scale_budget and costmodel) repeats the float
+    steps of the chain it replaced, in order, less the tape's + 0.0 on
+    each first gradient: a .grad never holds -0.0 and no backward
+    divides by a gradient, so a zero's sign reaches no value. It calls
+    _first_grad only where a reduction reads a gradient whose layout can
+    differ from the intermediate's, since layout orders the sum. Ops
+    outside this module call record through the module at call time,
+    so tools that wrap it see them
 """
 
 from __future__ import annotations
@@ -130,8 +130,7 @@ class Tape:
 def _first_grad(grad: np.ndarray, data: np.ndarray) -> np.ndarray:
     """A first gradient as the tape stores it: grad + 0.0 (so no -0.0),
     in data's shape and memory layout, as zeros_like plus += gives, so
-    sums over it keep their order. An op that folds a chain of ops
-    passes each intermediate's gradient through it."""
+    sums over it keep their order."""
     out = np.empty_like(data)
     np.add(grad, 0.0, out=out)
     return out
@@ -216,27 +215,34 @@ def straight_through(a: Tensor, value, passes: np.ndarray | None = None) -> Tens
     return record((a,), value, backward)
 
 
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    out = np.clip(a.data, lo, hi)
-    # gradient passes on the closed interval so a value parked exactly at a
-    # bound can still move; strictly outside the bound it is cut
-    mask = (a.data >= lo) & (a.data <= hi)
-    return record((a,), out, lambda g: (g * mask,))
+def tsum(*tensors: Tensor) -> Tensor:
+    """The sum of all elements of the tensors, each tensor's np.sum added
+    in turn; each gets the gradient broadcast to its shape."""
+    total = np.sum(tensors[0].data)
+    for t in tensors[1:]:
+        total = total + np.sum(t.data)
+    shapes = [t.data.shape for t in tensors]
+    return record(tensors, total, lambda g: tuple(np.broadcast_to(g, s).copy() for s in shapes))
 
 
-def tsum(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    return record((a,), np.sum(a.data), lambda g: (np.broadcast_to(g, shape).copy(),))
+def scale_by_gate(x: Tensor, gates: Tensor, j: int) -> Tensor:
+    """A gated path as one op: the (B, C, H, W) x times column j of the
+    (B, 3) gates. Column j's gradient sums g * x over channels, then rows,
+    then columns (_unbroadcast), as mul of a gathered column did."""
+    col = gates.data[:, j].reshape(-1, 1, 1, 1)
+    x_data, shape = x.data, gates.data.shape
+
+    def backward(g):
+        g_gates = np.zeros(shape)
+        g_gates[:, j] += _unbroadcast(g * x_data, col.shape).reshape(-1)
+        return g * col, g_gates
+
+    return record((x, gates), x_data * col, backward)
 
 
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = a.data.shape
-    return record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -254,23 +260,3 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(pieces)
 
     return record(tuple(tensors), out, backward)
-
-
-def take(a: Tensor, index) -> Tensor:
-    """a.data[index] for any numpy key, basic or advanced (integers,
-    slices, integer arrays, `...`, None), as a fresh C-ordered copy,
-    never a view of a.
-
-    The backward adds the gradient into zeros of a's shape with
-    np.add.at: positions the key repeats receive the sum of their
-    gradients, and a -0.0 gradient lands as +0.0.
-    """
-    out = np.array(a.data[index], order="C")
-    shape = a.data.shape
-
-    def backward(g):
-        grad = np.zeros(shape)
-        np.add.at(grad, index, g)
-        return (grad,)
-
-    return record((a,), out, backward)

@@ -156,12 +156,12 @@ def network_cost(
         nodes.insert(0, (g, nc, cols))
 
     def backward(grad):
-        h = np.expand_dims(grad + 0.0, -1)
+        h = np.expand_dims(grad, -1)
         grads = []
         for g, nc, cols in nodes:
             first_max = np.expand_dims(cols[np.argmax(g.data[..., cols], axis=-1)], -1)
             direction = np.broadcast_to(h, g.data.shape) * nc.direction_vector
-            grads += [direction, np.where(first_max == np.arange(3), h * nc.c_conv + 0.0, 0.0)]
+            grads += [direction, np.where(first_max == np.arange(3), h * nc.c_conv, 0.0)]
         return grads
 
     inputs = [g for g, _, _ in nodes for _ in range(2)]

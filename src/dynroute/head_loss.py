@@ -4,8 +4,9 @@ The head runs two small shared-weight towers (classification and box
 regression) over every pyramid level, each a stack of conv blocks
 (separable conv, bias and ReLU as one op, as in the supernet),
 predicting per-location class logits and four box-edge distances
-(left, top, right, bottom). Distances come out of an exp activation
-scaled by the level stride, so they are always positive.
+(left, top, right, bottom), each predictor one 1x1 conv op with its
+bias. Distances are exp of the clamped prediction times the level
+stride, one op (_distances), so they are always positive.
 
 At inference (no tape recording) the head computes an all-zero level's
 outputs once per parameter state. A sample whose route closed every path
@@ -34,9 +35,10 @@ and therefore trains as pure background.
 
 The detection loss is a sigmoid focal classification term over all
 locations plus an IoU term (1 - IoU) over positives, both normalized by
-the number of positives; each term is one tape op per level. The full
-objective adds the budget and path-similarity regularizers with their
-weights; during the warmup epochs the trainer passes neither.
+the number of positives: one tape op per term and level, one tsum over
+them and one mul. The full objective adds the budget and path-similarity
+regularizers with their weights; during the warmup epochs the trainer
+passes neither.
 """
 
 from __future__ import annotations
@@ -159,17 +161,10 @@ class DetectionHead:
         )
 
     def _level(self, x: Tensor, stride: float) -> tuple[Tensor, Tensor]:
-        c = self._tower("cls", x)
-        r = self._tower("reg", x)
-        logits = self._pred("cls_pred", c)
-        raw = self._pred("reg_pred", r)
-        # clamp keeps exp finite; +-8 spans 0.0003..3000 strides
-        return logits, ad.mul(ad.exp(ad.clamp(raw, -8.0, 8.0)), Tensor(stride))
-
-    def _pred(self, name: str, x: Tensor) -> Tensor:
-        out = ad.conv2d_1x1(x, self.params[f"head.{name}.w"])
-        b = self.params[f"head.{name}.b"]
-        return ad.add(out, ad.reshape(b, (1, b.data.shape[0], 1, 1)))
+        p = self.params
+        logits = ad.conv2d_1x1(self._tower("cls", x), p["head.cls_pred.w"], p["head.cls_pred.b"])
+        raw = ad.conv2d_1x1(self._tower("reg", x), p["head.reg_pred.w"], p["head.reg_pred.b"])
+        return logits, _distances(raw, stride)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
@@ -249,8 +244,8 @@ def _focal_loss(logits: Tensor, onehot: np.ndarray) -> Tensor:
     """Per-element sigmoid focal losses (alpha FOCAL_ALPHA, gamma 2) of
     the (B, K, H, W) logits against (B, H*W, K) one-hot targets, laid out
     (B, H*W, K), as one op. Forward and backward repeat the float steps
-    of the generic-op chain it replaced, in order, with the + 0.0 the
-    tape gives a first gradient; it records through autodiff.tensor."""
+    of the generic-op chain it replaced, in order; it records through
+    autodiff.tensor."""
     B, K, H, W = logits.data.shape
     x = logits.data.transpose(0, 2, 3, 1).reshape(B, H * W, K)
     t, one_minus_t = onehot, 1.0 - onehot
@@ -264,16 +259,16 @@ def _focal_loss(logits: Tensor, onehot: np.ndarray) -> Tensor:
     elems = (m1 * log_p) * FOCAL_ALPHA + (m2 * log_1mp) * (1.0 - FOCAL_ALPHA)
 
     def backward(g):
-        g_elems = -g + 0.0
-        g_neg = g_elems * (1.0 - FOCAL_ALPHA) + 0.0
-        g_pos = g_elems * FOCAL_ALPHA + 0.0
-        g_m2 = g_neg * log_1mp + 0.0
-        g_log_1mp = g_neg * m2 + 0.0
-        g_p = 2.0 * p * (g_m2 * one_minus_t + 0.0) + 0.0
-        g_m1 = g_pos * log_p + 0.0
-        g_log_p = g_pos * m1 + 0.0
-        g_p += -(2.0 * s1 * (g_m1 * t + 0.0) + 0.0)
-        g_x = -(g_log_1mp * 0.5 * (np.tanh(-0.5 * nx) + 1.0) + 0.0) + 0.0
+        g_elems = -g
+        g_neg = g_elems * (1.0 - FOCAL_ALPHA)
+        g_pos = g_elems * FOCAL_ALPHA
+        g_m2 = g_neg * log_1mp
+        g_log_1mp = g_neg * m2
+        g_p = 2.0 * p * (g_m2 * one_minus_t)
+        g_m1 = g_pos * log_p
+        g_log_p = g_pos * m1
+        g_p += -(2.0 * s1 * (g_m1 * t))
+        g_x = -(g_log_1mp * 0.5 * (np.tanh(-0.5 * nx) + 1.0))
         g_x += g_log_p * 0.5 * (np.tanh(-0.5 * x) + 1.0)
         g_x += g_p * p * (1.0 - p)
         return (g_x.reshape(B, H, W, K).transpose(0, 3, 1, 2),)
@@ -296,17 +291,30 @@ def _iou_loss(distances: Tensor, index: tuple, target: np.ndarray) -> Tensor:
     iou = inter / union
 
     def backward(g):
-        g_iou = -g + 0.0
-        g_union = -g_iou * inter / (union * union) + 0.0
-        g_inter = g_iou / union + 0.0
+        g_iou = -g
+        g_union = -g_iou * inter / (union * union)
+        g_inter = g_iou / union
         g_inter += -g_union
-        g_area = np.stack([g_union * height + 0.0, g_union * width + 0.0] * 2)
-        g_low = np.stack([g_inter * ih + 0.0, g_inter * iw + 0.0] * 2)
+        g_area = np.stack([g_union * height, g_union * width] * 2)
+        g_low = np.stack([g_inter * ih, g_inter * iw] * 2)
         grad = np.zeros(distances.data.shape)
         grad[b_idx, :, ys, xs] = (g_area + g_low * takes).T
         return (grad,)
 
     return ad_tensor.record((distances,), np.ones(iou.shape[0]) - iou, backward)
+
+
+def _distances(raw: Tensor, stride: float) -> Tensor:
+    """Box distances exp(clamp(raw, -8, 8)) * stride as one op (the clamp
+    keeps exp finite: 0.0003..3000 strides). The gradient passes on the
+    closed interval, so a value parked at a bound can still move."""
+    e = np.exp(np.clip(raw.data, -8.0, 8.0))
+    raw_data = raw.data
+
+    def backward(g):
+        return ((g * stride) * e * ((raw_data >= -8.0) & (raw_data <= 8.0)),)
+
+    return ad_tensor.record((raw,), e * stride, backward)
 
 
 def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.ndarray]:
@@ -324,13 +332,12 @@ def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.
     B = pred.cls_logits[0].data.shape[0]
     num_pos = max(1, targets.num_positives)
 
-    total: Tensor | None = None
+    terms: list[Tensor] = []  # focal, then IoU, level by level
     per_sample = np.zeros(B)
     for level in range(pred.num_levels):
         W = pred.cls_logits[level].data.shape[3]
         focal = _focal_loss(pred.cls_logits[level], targets.cls_onehot[level])
-        level_sum = ad.tsum(focal)
-        total = level_sum if total is None else ad.add(total, level_sum)
+        terms.append(focal)
         per_sample += focal.data.sum(axis=(1, 2))
 
         pos = targets.pos_mask[level]
@@ -338,10 +345,10 @@ def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.
             b_idx, loc_idx = np.nonzero(pos)
             index = (b_idx, *np.divmod(loc_idx, W))
             iou_rows = _iou_loss(pred.distances[level], index, targets.box_targets[level][pos])
-            total = ad.add(total, ad.tsum(iou_rows))
+            terms.append(iou_rows)
             per_sample += np.bincount(b_idx, weights=iou_rows.data, minlength=B)
 
-    loss = ad.mul(total, Tensor(1.0 / num_pos))
+    loss = ad.mul(ad.tsum(*terms), Tensor(1.0 / num_pos))
     pos_per_sample = np.maximum(1, targets.per_sample_positives())
     return loss, per_sample / pos_per_sample
 

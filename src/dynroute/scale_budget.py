@@ -75,7 +75,7 @@ def expected_budget(s: np.ndarray, c0: float, m: int) -> float:
 def global_budget_loss(c_net, c_expect) -> Tensor:
     """Squared gap between normalized network cost and budget, batch mean,
     as one op with the float steps of the sub, square and mean ops it
-    replaced (and the + 0.0 the tape gives a first gradient).
+    replaced.
 
     Both arguments are in normalized (cost / total-cost) units; c_net may
     be a Tensor of per-sample costs, c_expect a constant of the same shape
@@ -87,7 +87,7 @@ def global_budget_loss(c_net, c_expect) -> Tensor:
     gap = c_net.data - c_expect.data
 
     def backward(g):
-        g_gap = 2.0 * gap * (np.broadcast_to(g / gap.size, gap.shape) + 0.0) + 0.0
+        g_gap = 2.0 * gap * np.broadcast_to(g / gap.size, gap.shape)
         return g_gap, -g_gap
 
     return ad_tensor.record((c_net, c_expect), np.mean(gap * gap), backward)

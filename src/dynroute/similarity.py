@@ -66,7 +66,7 @@ def local_similarity_loss(
     routes: (B, 3n) Tensor of continuous gates; encodings: (B, m) binary.
     One op that walks the pairs in order with the float steps of the
     generic-op chain it replaced (row gathers, cosine, squared gap, sum,
-    1/B; + 0.0 on first gradients); it records through autodiff.tensor.
+    1/B); it records through autodiff.tensor.
     A zero route has cosine 0 with every row and passes no gradient.
     """
     B = routes.data.shape[0]
@@ -92,14 +92,14 @@ def local_similarity_loss(
             pairs.append((i, j, cos, d))
 
     def backward(g):
-        g_gap = g * (1.0 / B) + 0.0
+        g_gap = g * (1.0 / B)
         grads: list[np.ndarray | None] = [None] * B
         for i, j, cos, d in reversed(pairs):
             nu, nv = norms[i], norms[j]
             if nu == 0.0 or nv == 0.0:
                 parts = ((i, np.zeros_like(rows[i])), (j, np.zeros_like(rows[j])))
             else:
-                g_cos = (2.0 * d * g_gap + 0.0) + 0.0
+                g_cos = 2.0 * d * g_gap
                 u, v = rows[i], rows[j]
                 parts = (
                     (i, g_cos * (v / (nu * nv) - cos * u / (nu * nu))),
@@ -107,7 +107,7 @@ def local_similarity_loss(
                 )
             for k, part in parts:
                 if grads[k] is None:
-                    grads[k] = part + 0.0
+                    grads[k] = part
                 else:
                     grads[k] += part
         return (np.stack(grads),)

@@ -72,7 +72,8 @@ mode a node's gate and masks are one straight-through op on the tanh:
 it forwards the open gates and passes the gradient at the valid
 directions of live rows, so a closed gate keeps the tanh gradient and
 the budget can open it again when a sample's route costs less than its
-target.
+target. A train-mode path scales its output by its gate column in one
+op (ad.scale_by_gate); infer mode multiplies by the untracked gates.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ class SupernetSpec:
                 f"channels_per_scale has {len(self.channels_per_scale)} entries "
                 f"for {self.num_scales} scales"
             )
+        if min(self.channels_per_scale) < 1:  # 0 -> 0 would pass as doubling
+            raise ConfigurationError(f"channels_per_scale entries must be >= 1, got {list(self.channels_per_scale)}")
         for a, b in zip(self.channels_per_scale, self.channels_per_scale[1:]):
             if b != 2 * a:
                 raise ConfigurationError(
@@ -464,11 +467,12 @@ class Supernet:
                     y_rows = y
                     if rows is not None and rows.size < y.data.shape[0]:
                         y_rows = ad.gather_rows(y, rows if runs is None else np.searchsorted(runs, rows))
+                    out = self._transform(node, direction, y_rows)
                     if mode == "train":
-                        g = ad.take(open_gates, (slice(None), slice(j, j + 1), None, None))
+                        part = (rows, ad.scale_by_gate(out, open_gates, j))
                     else:
-                        g = Tensor(gates[slice(None) if rows is None else rows, i, j].reshape(-1, 1, 1, 1))
-                    part = (rows, ad.mul(self._transform(node, direction, y_rows), g))
+                        g = gates[slice(None) if rows is None else rows, i, j].reshape(-1, 1, 1, 1)
+                        part = (rows, ad.mul(out, Tensor(g)))
                     if direction == "keep" and layer == spec.num_layers:
                         last_outputs[node.scale] = part
                     else:

@@ -10,7 +10,7 @@ from dynroute.autodiff import Tape, Tensor, grad_check, ops
 from dynroute.autodiff.tensor import record
 from dynroute.costmodel import CostConstants, NodeCost, network_cost
 from dynroute.errors import ConfigurationError, UsageError
-from dynroute.head_loss import _focal_loss, _iou_loss
+from dynroute.head_loss import _distances, _focal_loss, _iou_loss
 from dynroute.scale_budget import global_budget_loss
 from dynroute.similarity import (
     SimilarityConfig,
@@ -599,13 +599,207 @@ def test_router_equals_the_chain_of_generic_ops_bytewise(shape, layout):
 
 
 def test_router_and_budget_loss_record_one_tape_entry():
+    """So do the path gate, a 1x1 conv with its bias, the distance map and
+    a sum over several tensors."""
     rng = np.random.default_rng(6)
     x, conv_w, fc_w, fc_b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 4, 3, 5), (4, 4), (4, 3), (3,)))
     c_net = Tensor(rng.uniform(size=5), requires_grad=True)
-    for make in (lambda: ad.router(x, conv_w, fc_w, fc_b), lambda: global_budget_loss(c_net, Tensor(np.full(5, 0.3)))):
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+    gates = Tensor(rng.uniform(size=(2, 3)), requires_grad=True)
+    makes = (
+        lambda: ad.router(x, conv_w, fc_w, fc_b),
+        lambda: global_budget_loss(c_net, Tensor(np.full(5, 0.3))),
+        lambda: ad.scale_by_gate(x, gates, 1),
+        lambda: ad.conv2d_1x1(x, conv_w, bias),
+        lambda: _distances(x, 8.0),
+        lambda: ad.tsum(x, c_net, gates),
+    )
+    for make in makes:
         with Tape() as tape:
             make()
         assert len(tape) == 1
+
+
+def _take(a, index):
+    """a.data[index] as a C-ordered copy; the backward adds the gradient
+    into zeros with np.add.at (the tracked gather the gate op replaced)."""
+    out = np.array(a.data[index], order="C")
+    shape = a.data.shape
+
+    def backward(g):
+        grad = np.zeros(shape)
+        np.add.at(grad, index, g)
+        return (grad,)
+
+    return record((a,), out, backward)
+
+
+def _reshape(a, shape):
+    old = a.data.shape
+    return record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
+
+
+def _clamp(a, lo, hi):
+    out = np.clip(a.data, lo, hi)
+    mask = (a.data >= lo) & (a.data <= hi)
+    return record((a,), out, lambda g: (g * mask,))
+
+
+def _signed_zeros(rng, a, share=0.3):
+    """a with about share of its entries set to +0.0 and as many to -0.0."""
+    a[rng.random(a.shape) < share] = 0.0
+    a[rng.random(a.shape) < share] = -0.0
+    return a
+
+
+def _run_bytewise(op, datas, upstream, later=None):
+    """op's tapeless output, and its taped output, the strides of that
+    output and every input's gradient, as bytes, with upstream the
+    gradient of op's output; later maps an input's position to an
+    upstream gradient it also receives from a consumer recorded after
+    op, which the tape hands it first."""
+    tapeless = op(*(Tensor(d) for d in datas)).data
+    inputs = [Tensor(d.copy(order="K"), requires_grad=True) for d in datas]
+    with Tape() as tape:
+        out = op(*inputs)
+        loss = ad.tsum(ad.mul(out, Tensor(upstream)))
+        for k, prev in (later or {}).items():
+            loss = ad.add(loss, ad.tsum(ad.mul(inputs[k], Tensor(prev))))
+        tape.backward(loss)
+    return (
+        tapeless.tobytes(),
+        tapeless.strides,
+        out.data.tobytes(),
+        out.data.strides,
+        [b"-" if t.grad is None else t.grad.tobytes() for t in inputs],
+    )
+
+
+def _maps(rng, shape, layout):
+    """(B, C, H, W) features, C-ordered or in the transposed layout
+    bilinear_upsample_2x returns."""
+    if layout == "c":
+        return rng.normal(size=shape)
+    B, C, H, W = shape
+    out = ad.bilinear_upsample_2x(Tensor(rng.normal(size=(B, C, H // 2, W // 2)))).data
+    assert not out.flags.c_contiguous
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, layout", [((1, 3, 2, 2), "c"), ((16, 4, 3, 5), "c"), ((16, 2, 4, 6), "upsampled"), ((1, 1, 2, 2), "upsampled")]
+)
+def test_scale_by_gate_equals_take_and_mul_bytewise(shape, layout):
+    """Each of a node's three paths scaled by its column of the node's
+    gates equals, bit for bit, the mul by a gathered column it replaces:
+    outputs and their layout, taped and tapeless, and the gradients of
+    the paths and of the gates, which every path and a later consumer
+    feed (the gradients reach them in the same order), with gates and
+    upstream gradients holding +0.0 and -0.0."""
+    B = shape[0]
+    rng = np.random.default_rng(sum(shape))
+    paths = [_maps(rng, shape, layout) for _ in range(3)]
+    gates = _signed_zeros(rng, rng.uniform(size=(B, 3)))
+    upstream = [_signed_zeros(rng, rng.normal(size=shape)) for _ in range(3)]
+    later = {3: _signed_zeros(rng, rng.normal(size=(B, 3)))}
+
+    def gated(take_and_mul):
+        def op(*inputs):
+            *xs, g = inputs
+            outs = []
+            for j, x in enumerate(xs):
+                if take_and_mul:
+                    outs.append(ad.mul(x, _take(g, (slice(None), slice(j, j + 1), None, None))))
+                else:
+                    outs.append(ad.scale_by_gate(x, g, j))
+            return ad.concat(outs, axis=1)
+
+        return op
+
+    datas = paths + [gates]
+    upstream = np.concatenate(upstream, axis=1)
+    results = [_run_bytewise(gated(chain), datas, upstream, later) for chain in (False, True)]
+    assert results[0] == results[1]
+    for j, path in enumerate(paths):  # each path's own output keeps the layout of the chain's
+        new = ad.scale_by_gate(Tensor(path), Tensor(gates), j).data
+        old = ad.mul(Tensor(path), _take(Tensor(gates), (slice(None), slice(j, j + 1), None, None))).data
+        assert (new.strides, new.tobytes()) == (old.strides, old.tobytes())
+
+
+@pytest.mark.parametrize(
+    "shape, stride, layout",
+    [
+        ((1, 3, 1, 1), 1, "c"),
+        ((16, 4, 3, 5), 1, "c"),
+        ((16, 1, 4, 4), 2, "c"),
+        ((2, 3, 4, 6), 1, "upsampled"),
+        ((16, 5, 4, 4), 2, "upsampled"),
+    ],
+)
+def test_conv2d_1x1_bias_equals_conv_reshape_and_add_bytewise(shape, stride, layout):
+    """A 1x1 conv with its bias equals, bit for bit, the conv, a reshaped
+    bias and a broadcast add it replaces: output and layout, taped and
+    tapeless, and the gradients of input, weight and a bias that a later
+    consumer also feeds, with upstream gradients holding +0.0 and -0.0;
+    at batch 1 and 16, one input channel (the tapeless outer product),
+    a 1x1 map, stride 2, and inputs in the transposed layout."""
+    B, C, H, W = shape
+    rng = np.random.default_rng(sum(shape) + stride)
+    datas = [_maps(rng, shape, layout), rng.normal(size=(6, C)), _signed_zeros(rng, rng.normal(size=6))]
+    out_shape = (B, 6, (H - 1) // stride + 1, (W - 1) // stride + 1)
+    upstream = _signed_zeros(rng, rng.normal(size=out_shape))
+    later = {2: rng.normal(size=6)}
+
+    def chain(x, w, b):
+        return ad.add(ad.conv2d_1x1(x, w, stride=stride), _reshape(b, (1, 6, 1, 1)))
+
+    results = [
+        _run_bytewise(op, datas, upstream, later)
+        for op in (lambda x, w, b: ad.conv2d_1x1(x, w, b, stride=stride), chain)
+    ]
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("stride", [8.0, 12.0, 0.75])
+def test_distances_equal_clamp_exp_and_mul_bytewise(stride):
+    """The distance map equals, bit for bit, exp(clamp(raw, -8, 8)) *
+    stride as the chain of ops it replaces: output, taped and tapeless,
+    and the gradient of a raw map that a later consumer also feeds, with
+    raw values at, inside and beyond +-8 (the gradient passes at the
+    bounds and is cut beyond them), signed zeros, and upstream gradients
+    holding +0.0 and -0.0."""
+    rng = np.random.default_rng(int(stride * 2))
+    raw = _signed_zeros(rng, rng.normal(0.0, 6.0, size=(3, 4, 4, 5)), 0.1)
+    raw[0, :, 0, 0] = [-8.0, 8.0, -800.0, 9.0]
+    upstream = _signed_zeros(rng, rng.normal(size=raw.shape))
+    later = {0: rng.normal(size=raw.shape)}
+
+    def chain(a):
+        return ad.mul(ad.exp(_clamp(a, -8.0, 8.0)), Tensor(stride))
+
+    results = [_run_bytewise(op, [raw], upstream, later) for op in (lambda a: _distances(a, stride), chain)]
+    assert results[0] == results[1]
+    assert (np.abs(raw) > 8).any() and (np.abs(raw) < 8).any()
+
+
+@pytest.mark.parametrize("scale", [0.7, 0.0, -0.0])
+def test_tsum_of_many_equals_tsum_and_add_bytewise(scale):
+    """One tsum over several tensors equals, bit for bit, a tsum of each
+    added in turn: the value and each tensor's gradient, one of them
+    also fed by a later consumer, under an upstream gradient of 0.7,
+    +0.0 and -0.0."""
+    rng = np.random.default_rng(14)
+    datas = [rng.normal(size=s) * 1e3 ** rng.normal() for s in ((3, 4), (5,), (2, 2, 3), (7,))]
+    later = {1: rng.normal(size=5)}
+
+    def chain(*ts):
+        total = ad.tsum(ts[0])
+        for t in ts[1:]:
+            total = ad.add(total, ad.tsum(t))
+        return total
+
+    results = [_run_bytewise(op, datas, np.float64(scale), later) for op in (ad.tsum, chain)]
+    assert results[0] == results[1]
 
 
 def test_determinism_bit_identical():
@@ -663,27 +857,6 @@ def test_straight_through_passes_gradient_only_where_passes():
 def test_straight_through_rejects_shape_mismatch():
     with pytest.raises(ConfigurationError, match="straight_through"):
         ad.straight_through(Tensor(np.zeros(3)), np.zeros(4))
-
-
-@pytest.mark.parametrize(
-    "index",
-    [
-        (slice(None), slice(1, 2), None, None),
-        (..., np.array([0, 2])),
-        1,
-        (np.array([2, 0, 2]), slice(1, 3)),
-        (slice(None, None, -1), slice(None)),
-    ],
-    ids=["slice_none", "ellipsis_cols", "int", "advanced_then_slice", "reversed"],
-)
-def test_take_returns_a_c_contiguous_copy(index):
-    a = Tensor(np.arange(12.0).reshape(4, 3))
-    before = a.data.copy()
-    out = ad.take(a, index)
-    assert out.data.flags.c_contiguous
-    assert out.data.tobytes() == a.data[index].tobytes()
-    out.data[...] = -1.0
-    assert a.data.tobytes() == before.tobytes()
 
 
 def test_avg_pool_to_upscales_by_replication():
@@ -745,6 +918,7 @@ _ROUTER_RNG = np.random.default_rng(12)
 _ROUTER_X = _ROUTER_RNG.normal(size=(4, 3, 2, 2))
 _MIX_3, _FC_3, _FC_5, _FC_B = (_ROUTER_RNG.uniform(-1.0, 1.0, s) for s in ((3, 3), (3, 3), (5, 3), (3,)))
 _FC_WIDE = 2.0 * _FC_3
+_GATE_X = _ROUTER_RNG.normal(size=(4, 3, 2, 3))
 
 _NODE = NodeId(1, 0)
 _ONE_NODE_TABLE = CostConstants(
@@ -763,7 +937,10 @@ OPS = [
     ("exp", ad.exp, [(2, 3)], None),
     # tanh: a router's fc_b alone, logits spread over tanh's curve
     ("tanh", lambda b: ad.router(Tensor(_ROUTER_X), Tensor(_MIX_3), Tensor(_FC_WIDE), b), [(3,)], None),
-    ("clamp", lambda a: ad.clamp(a, -0.5, 0.5), [(4, 4)], _away_from(-0.5, 0.5)),
+    # clamp: the distance map's clamp to [-8, 8], raw values spread over
+    # (-12, 12) so a third lie beyond the bounds, where the gradient is cut
+    ("clamp", lambda a: _distances(ad.mul(a, Tensor(12.0)), 0.5), [(2, 4, 2, 2)], _away_from(-8 / 12, 8 / 12)),
+    ("distances", lambda a: _distances(a, 8.0), [(2, 4, 3, 3)], None),
     # forward value equal to the input's function, so the identity backward
     # is the true gradient here; test_straight_through_* pin the other case
     ("straight_through", lambda a: ad.straight_through(ad.mul(a, a), np.square(a.data)), [(3, 4)], None),
@@ -782,6 +959,7 @@ OPS = [
         None,
     ),
     ("sum", ad.tsum, [(3, 4)], None),
+    ("sum_many", lambda a, b, c: ad.tsum(a, b, c), [(3, 4), (2,), (2, 1, 3)], None),
     # standardize_rows: a router on 1x1 maps with an identity mix, so its
     # input rows are the standardized channel means themselves
     ("standardize_rows", lambda x: ad.router(x, Tensor(np.eye(5)), Tensor(_FC_5), Tensor(_FC_B)), [(3, 5, 1, 1)], None),
@@ -790,13 +968,30 @@ OPS = [
     ("budget_loss", lambda c: global_budget_loss(c, Tensor(np.full(8, 0.3))), [(8,)], None),
     # the max over a node's gates, billed at c_conv, plus the direction costs
     ("network_cost", lambda a: network_cost({_NODE: a}, _ONE_NODE_TABLE), [(4, 3)], _max_ties),
-    ("reshape", lambda a: ad.reshape(a, (6, 2)), [(3, 4)], None),
+    # reshape: the bias of a 1x1 conv alone, reshaped to (1, C, 1, 1) and
+    # broadcast over samples, rows and columns
+    ("reshape", lambda b: ad.conv2d_1x1(Tensor(_GATE_X), Tensor(_MIX_3), b), [(3,)], None),
     ("concat", lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)], None),
-    # an advanced key that repeats position (1, 3): its gradients must sum
-    ("take", lambda a: ad.take(a, (np.array([0, 1, 1]), np.array([0, 3, 3]))), [(2, 4)], None),
-    ("take_slice_none", lambda a: ad.take(a, (slice(None), slice(1, 2), None, None)), [(4, 3)], None),
-    ("take_ellipsis_cols_1d", lambda a: ad.take(a, (..., np.array([1, 2]))), [(3,)], None),
-    ("take_ellipsis_cols_2d", lambda a: ad.take(a, (..., np.array([0, 2]))), [(4, 3)], None),
+    # the path gate, which absorbed the gate-column gather: take, two paths
+    # scaled by the same column, whose gradients must sum there;
+    # take_slice_none, the gates alone, one column of (4, 3);
+    # take_ellipsis_cols_1d, the last column at batch 1; take_ellipsis_cols_2d,
+    # columns 0 and 2 of the same gates
+    (
+        "take",
+        lambda x, y, g: ad.add(ad.scale_by_gate(x, g, 1), ad.scale_by_gate(y, g, 1)),
+        [(2, 2, 2, 2), (2, 2, 2, 2), (2, 3)],
+        None,
+    ),
+    ("take_slice_none", lambda g: ad.scale_by_gate(Tensor(_GATE_X), g, 1), [(4, 3)], None),
+    ("take_ellipsis_cols_1d", lambda x, g: ad.scale_by_gate(x, g, 2), [(1, 2, 3, 3), (1, 3)], None),
+    (
+        "take_ellipsis_cols_2d",
+        lambda x, g: ad.concat([ad.scale_by_gate(x, g, 0), ad.scale_by_gate(x, g, 2)]),
+        [(4, 2, 2, 2), (4, 3)],
+        None,
+    ),
+    ("scale_by_gate", lambda x, g: ad.scale_by_gate(x, g, 0), [(3, 2, 2, 3), (3, 3)], None),
     ("identity", lambda a: a, [(3,)], None),
     # the detection loss terms, each one op: per-element focal losses of
     # (B, K, H, W) logits, and 1 - IoU of exp-positive distances at
@@ -823,6 +1018,7 @@ OPS = [
     ("cosine_similarity", lambda r: local_similarity_loss(r, _ENCODINGS, SimilarityConfig()), [(3, 6)], None),
     ("conv2d_1x1", lambda x, w: ad.conv2d_1x1(x, w), [(2, 3, 4, 4), (5, 3)], None),
     ("conv2d_1x1_s2", lambda x, w: ad.conv2d_1x1(x, w, stride=2), [(1, 2, 4, 4), (3, 2)], None),
+    ("conv2d_1x1_bias", lambda x, w, b: ad.conv2d_1x1(x, w, b, stride=2), [(2, 3, 3, 4), (4, 3), (4,)], None),
     (
         "sepconv3x3",
         lambda x, dw, pw, b: ad.depthwise_separable_conv3x3(x, dw, pw, b),
@@ -897,7 +1093,7 @@ def test_grad_check_cosine_near_parallel():
     enc = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def near_parallel(u):
-        routes = ad.concat([ad.reshape(u, (1, 6)), Tensor(base[None] + 1e-3)])
+        routes = ad.concat([_reshape(u, (1, 6)), Tensor(base[None] + 1e-3)])
         return local_similarity_loss(routes, enc, SimilarityConfig())
 
     report = grad_check(near_parallel, [(6,)], low=0.2, high=1.0, name="cosine_parallel")
@@ -934,6 +1130,20 @@ def test_load_params_rejects_an_array_no_parameter_takes():
     with pytest.raises(UsageError, match="checkpoint array a.bogus is not a parameter"):
         ad.load_params(params, arrays)
     assert not params["a.w"].data.any()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_checkpoint_rejects_a_non_finite_array(tmp_path, value):
+    """A checkpoint array holding NaN or an infinity is refused by name;
+    load_params still takes such arrays from memory."""
+    arrays = {"a.w": np.ones((2, 3)), "b.bias": np.array([0.5, value])}
+    path = tmp_path / "model.ckpt"
+    ad.save_checkpoint(path, arrays)
+    with pytest.raises(UsageError, match="checkpoint array b.bias is not finite"):
+        ad.load_checkpoint(path)
+    params = {k: Tensor(np.zeros(v.shape)) for k, v in arrays.items()}
+    ad.load_params(params, arrays)
+    assert params["b.bias"].data.tobytes() == arrays["b.bias"].tobytes()
 
 
 def test_checkpoint_rejects_wrong_header(tmp_path):

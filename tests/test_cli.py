@@ -130,6 +130,9 @@ class TestConfig:
         ({"head": {"tower_depth": 0}}, "head.tower_depth"),
         ({"supernet": {"gate_threshold": 2.0}}, "gate_threshold"),
         ({"supernet": {"gate_threshold": 0.0}}, "gate_threshold"),
+        # channel counts below 1, which pass the doubling check
+        ({"supernet": {"channels_per_scale": [0, 0, 0, 0]}}, "channels_per_scale"),
+        ({"supernet": {"channels_per_scale": [-1, -2, -4, -8]}}, "channels_per_scale"),
     ],
 )
 def test_bad_config_exit_2_before_output(tmp_path, capsys, overrides, key):
@@ -337,12 +340,10 @@ class TestCommands:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("extra", ["node.99.0.conv.pw_w", "head.bogus"])
-    @pytest.mark.parametrize("command", ["eval", "cost-report", "export-route"])
-    def test_checkpoint_with_an_unknown_array_exit_2(self, pipeline, tmp_path, capsys, extra, command):
-        arrays, meta = trainer.load_checkpoint(pipeline["run"] / "checkpoint.ckpt")
-        arrays[extra] = np.zeros(3)
-        ckpt = tmp_path / "extra.ckpt"
+    @staticmethod
+    def _run_on_checkpoint(pipeline, tmp_path, capsys, command, arrays, meta):
+        """Exit code and stderr of command on a checkpoint of arrays."""
+        ckpt = tmp_path / "edited.ckpt"
         trainer.save_checkpoint(ckpt, arrays, meta)
         data = {
             "eval": ["--data", str(pipeline["data"]), "--report", str(tmp_path / "r.csv")],
@@ -352,9 +353,26 @@ class TestCommands:
         }[command]
         capsys.readouterr()
         code = main([command, "--checkpoint", str(ckpt), *data])
-        err = capsys.readouterr().err
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ["node.99.0.conv.pw_w", "head.bogus"])
+    @pytest.mark.parametrize("command", ["eval", "cost-report", "export-route"])
+    def test_checkpoint_with_an_unknown_array_exit_2(self, pipeline, tmp_path, capsys, extra, command):
+        arrays, meta = trainer.load_checkpoint(pipeline["run"] / "checkpoint.ckpt")
+        arrays[extra] = np.zeros(3)
+        code, err = self._run_on_checkpoint(pipeline, tmp_path, capsys, command, arrays, meta)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and extra in err
+
+    @pytest.mark.parametrize("name, value", [("node.1.0.router.fc_b", np.nan), ("head.cls_pred.b", np.inf)])
+    @pytest.mark.parametrize("command", ["eval", "cost-report", "export-route"])
+    def test_checkpoint_with_a_non_finite_parameter_exit_2(self, pipeline, tmp_path, capsys, name, value, command):
+        arrays, meta = trainer.load_checkpoint(pipeline["run"] / "checkpoint.ckpt")
+        arrays[name] = arrays[name].copy()
+        arrays[name][0] = value
+        code, err = self._run_on_checkpoint(pipeline, tmp_path, capsys, command, arrays, meta)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"{name} is not finite" in err
 
     def test_missing_checkpoint_exit_2(self, tmp_path):
         code = main([

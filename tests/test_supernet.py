@@ -460,7 +460,7 @@ def _old_gate_chain(net, node, x, live, forced):
     else:
         g = Tensor(np.asarray(forced, dtype=np.float64))
         if g.data.ndim == 1:
-            g = ad.reshape(g, (1, 3))
+            g = Tensor(g.data.reshape(1, 3))  # untracked, as forced gates are
         if g.data.shape[0] == 1 and B > 1:
             g = ad.mul(g, Tensor(np.ones((B, 1))))
         g = ad.mul(g, mask)
