@@ -18,7 +18,6 @@ from .tensor import (
     exp,
     gather_rows,
     mul,
-    scale_by_gate,
     straight_through,
     tsum,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "mul",
     "router",
     "save_checkpoint",
-    "scale_by_gate",
     "straight_through",
     "tsum",
 ]

@@ -12,9 +12,9 @@ Conventions:
   * broadcasting in elementwise ops is undone in backward by summing the
     broadcast axes (see _unbroadcast)
   * the generic ops here (add, mul, exp, tsum, concat, straight_through)
-    serve several formulas; a formula with an op of its own (the path
-    gate here, the router in ops.py, the distances and loss terms in
-    head_loss, similarity, scale_budget and costmodel) repeats the float
+    serve several formulas; a formula with an op of its own (the router
+    in ops.py, a node's input in supernet, the distances and loss terms
+    in head_loss, similarity, scale_budget and costmodel) repeats the float
     steps of the chain it replaced, in order, less the tape's + 0.0 on
     each first gradient: a .grad never holds -0.0 and no backward
     divides by a gradient, so a zero's sign reaches no value. It calls
@@ -223,21 +223,6 @@ def tsum(*tensors: Tensor) -> Tensor:
         total = total + np.sum(t.data)
     shapes = [t.data.shape for t in tensors]
     return record(tensors, total, lambda g: tuple(np.broadcast_to(g, s).copy() for s in shapes))
-
-
-def scale_by_gate(x: Tensor, gates: Tensor, j: int) -> Tensor:
-    """A gated path as one op: the (B, C, H, W) x times column j of the
-    (B, 3) gates. Column j's gradient sums g * x over channels, then rows,
-    then columns (_unbroadcast), as mul of a gathered column did."""
-    col = gates.data[:, j].reshape(-1, 1, 1, 1)
-    x_data, shape = x.data, gates.data.shape
-
-    def backward(g):
-        g_gates = np.zeros(shape)
-        g_gates[:, j] += _unbroadcast(g * x_data, col.shape).reshape(-1)
-        return g * col, g_gates
-
-    return record((x, gates), x_data * col, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,9 @@ def _ints(values) -> tuple[int, ...]:
 
 
 def _float(value) -> float:
-    """value as a float; NaN and infinities are refused."""
+    """value as a float; a boolean, NaN and infinities are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
     result = float(value)
     if not math.isfinite(result):
         raise ValueError(f"expected a finite number, got {value!r}")

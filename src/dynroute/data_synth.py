@@ -240,6 +240,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
         if parts[0] != b"P5" or parts[3] != b"255":
             raise DataError(f"{path}: expected binary PGM with maxval 255")
         w, h = int(parts[1]), int(parts[2])
+        if w < 1 or h < 1:
+            raise DataError(f"{path}: malformed PGM: a {w}x{h} image has no pixels")
         if len(blob) - pos != w * h:
             raise DataError(
                 f"{path}: malformed PGM: {len(blob) - pos} pixel bytes for a {w}x{h} header"

@@ -37,8 +37,8 @@ The detection loss is a sigmoid focal classification term over all
 locations plus an IoU term (1 - IoU) over positives, both normalized by
 the number of positives: one tape op per term and level, one tsum over
 them and one mul. The full objective adds the budget and path-similarity
-regularizers with their weights; during the warmup epochs the trainer
-passes neither.
+regularizers with their weights, one op (total_loss); during the warmup
+epochs the trainer passes neither.
 """
 
 from __future__ import annotations
@@ -359,14 +359,17 @@ def total_loss(
     l_local: Tensor | None,
     weights: LossWeights,
 ) -> Tensor:
-    """Weighted objective; a regularizer passed as None (as during the
-    warmup epochs) is left out."""
+    """Weighted objective L_det + lambda1 L_global + lambda2 L_local as
+    one op, added in that order; a regularizer passed as None (as during
+    the warmup epochs) or weighted 0 is left out, and with neither kept
+    the result is l_det itself."""
     for name, term in (("L_det", l_det), ("L_global", l_global), ("L_local", l_local)):
         if term is not None and not np.isfinite(term.data).all():
             raise NumericError(f"{name} is not finite: {term.data}")
-    out = l_det
-    if l_global is not None and weights.lambda1 > 0:
-        out = ad.add(out, ad.mul(l_global, Tensor(weights.lambda1)))
-    if l_local is not None and weights.lambda2 > 0:
-        out = ad.add(out, ad.mul(l_local, Tensor(weights.lambda2)))
-    return out
+    kept = [(t, w) for t, w in ((l_global, weights.lambda1), (l_local, weights.lambda2)) if t is not None and w > 0]
+    if not kept:
+        return l_det
+    total = l_det.data
+    for term, w in kept:
+        total = total + term.data * w
+    return ad_tensor.record((l_det, *(t for t, _ in kept)), total, lambda g: (g, *(g * w for _, w in kept)))

@@ -72,8 +72,9 @@ mode a node's gate and masks are one straight-through op on the tanh:
 it forwards the open gates and passes the gradient at the valid
 directions of live rows, so a closed gate keeps the tanh gradient and
 the budget can open it again when a sample's route costs less than its
-target. A train-mode path scales its output by its gate column in one
-op (ad.scale_by_gate); infer mode multiplies by the untracked gates.
+target. In both modes a node's input is one op (path_mean) that scales
+each incoming path by its gate column (the open gates in train mode),
+brings the paths to the node's rows, adds them and divides by n.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .autodiff import tensor as ad_tensor
 from .errors import ConfigurationError, UsageError
 
 
@@ -93,8 +95,9 @@ from .errors import ConfigurationError, UsageError
 DIRECTIONS = (("up", -1), ("keep", 0), ("down", 1))
 
 
-# a path's output and the sorted sample indices it holds (None: every sample)
-Part = tuple[np.ndarray | None, Tensor]
+# a path: the sorted sample indices it holds (None: every sample), its
+# ungated output there, its source node's (B, 3) gates and their column
+Part = tuple[np.ndarray | None, Tensor, Tensor, int]
 
 
 class NodeId(NamedTuple):
@@ -186,33 +189,63 @@ def binarize_gates(gates: np.ndarray, threshold: float) -> np.ndarray:
     return np.asarray(gates) >= threshold
 
 
-def _scatter_rows(part: Tensor, rows: np.ndarray, batch: int) -> Tensor:
-    """Inverse of ad.gather_rows: part's samples at the sorted indices
-    rows of a batch, zeros elsewhere.
+def path_mean(parts: list[Part], n_open: np.ndarray | None, rows: np.ndarray | None, batch: int) -> Tensor:
+    """A node's input as one op: each incoming path times its gate column,
+    brought to the sorted sample indices rows (None: every sample), added
+    in contribution order and divided by the open count n_open (B,) where
+    it exceeds 1 (None: no division).
 
-    The result keeps part's memory layout (bilinear upsampling returns a
-    transposed one), as the full-batch op would have: reductions over
-    the features downstream then add in the same order.
+    On every sample, a path goes back to its rows of the batch in its own
+    memory layout, as its transform on the whole batch would give, so a
+    router's reductions add in the same order. On a subset, paths that
+    hold exactly those rows add as they are, without index work; else each
+    row sums the paths that hold it, in order: equal but for the sign of a
+    zero, which no conv output sees (its taps add every product into +0).
+
+    Only a call without rows records (through autodiff.tensor.record,
+    looked up at call time). Its backward repeats the float steps of the
+    gate, add and mean chain it replaced: a path's gradient is the
+    output's times 1/n, in the gated path's layout, times the gate column,
+    and the column's gradient sums that times the path over channels,
+    then rows, then columns.
     """
-    full = np.zeros_like(part.data, shape=(batch,) + part.data.shape[1:])
-    full[rows] = part.data
-    return Tensor(full)
+    gated = [out.data * g.data[slice(None) if r is None else r, j].reshape(-1, 1, 1, 1) for r, out, g, j in parts]
+    placed = list(gated)
+    if rows is None:
+        for k, (r, *_) in enumerate(parts):
+            if r is not None:
+                placed[k] = np.zeros_like(gated[k], shape=(batch,) + gated[k].shape[1:])
+                placed[k][r] = gated[k]
+    elif not all(r is not None and np.array_equal(r, rows) for r, *_ in parts):
+        slot = np.full(batch, -1)
+        slot[rows] = np.arange(rows.size)
+        placed = [np.zeros((rows.size,) + gated[0].shape[1:])]
+        for (r, *_), path in zip(parts, gated):
+            at = slot if r is None else slot[r]
+            held = at >= 0
+            placed[0][at[held]] += path[held]
+    total = placed[0]
+    for path in placed[1:]:
+        total = total + path
+    n = n_open if rows is None or n_open is None else n_open[rows]
+    scale = None if n is None or np.all(n <= 1) else (1.0 / np.maximum(n, 1.0)).reshape(-1, 1, 1, 1)
+    if scale is not None:
+        total = total * scale
+    if rows is not None or ad_tensor.active_tape() is None or any(r is not None for r, *_ in parts):
+        return Tensor(total)  # untracked, as inference runs
 
+    def backward(g):
+        g = g if scale is None else g * scale
+        grads = []
+        for (_, out, gates, j), path in zip(parts, gated):
+            g_path = ad_tensor._first_grad(g, path)
+            col = gates.data[:, j].reshape(-1, 1, 1, 1)
+            g_gates = np.zeros(gates.data.shape)
+            g_gates[:, j] = ad_tensor._unbroadcast(g_path * out.data, col.shape).reshape(-1)
+            grads += [g_path * col, g_gates]
+        return grads
 
-def _sum_at_rows(contribs: list[Part], rows: np.ndarray, batch: int) -> Tensor:
-    """The sum of the contributions at the sorted sample indices rows, in
-    contribution order; a row a contribution lacks adds nothing to it."""
-    slot = np.full(batch, -1)
-    slot[rows] = np.arange(rows.size)
-    out = np.zeros((rows.size,) + contribs[0][1].data.shape[1:])
-    for r, t in contribs:
-        if r is None:
-            out += t.data[rows]
-            continue
-        at = slot[r]
-        held = at >= 0
-        out[at[held]] += t.data[held]
-    return Tensor(out)
+    return ad_tensor.record([t for _, out, gates, _ in parts for t in (out, gates)], total, backward)
 
 
 class ZeroRowMemo:
@@ -381,9 +414,9 @@ class Supernet:
             raise UsageError(f"expected B,C,H,W images, got shape {images.data.shape}")
         B, C, H, W = images.data.shape
         div = self.spec.min_divisor
-        if H % div != 0 or W % div != 0:
+        if H < 1 or W < 1 or H % div != 0 or W % div != 0:
             raise UsageError(
-                f"image spatial size {H}x{W} must be divisible by {div} "
+                f"image spatial size {H}x{W} must be positive and divisible by {div} "
                 f"for {self.spec.num_scales} scales"
             )
         if C != self.spec.in_channels:
@@ -441,12 +474,13 @@ class Supernet:
             for i, node in enumerate(nodes):
                 if mode == "train":
                     pre = tanhs[i] if i in tanhs else Tensor(gates[:, i])
-                    open_gates = ad.straight_through(
+                    gate_tensors[node] = ad.straight_through(
                         pre, gates[:, i] * open_mask[:, i], passes=needed[:, i]
                     )
-                    gate_tensors[node] = open_gates
                 if not any(counts[i]):
                     continue  # conv block dropped for the whole batch
+                # the gates a path carries: in infer mode read only at open rows
+                path_gates = gate_tensors[node] if mode == "train" else Tensor(gates[:, i])
                 # infer runs the block on the samples with an open path only
                 # (None: on every sample, as train mode always does)
                 runs = None
@@ -467,12 +501,7 @@ class Supernet:
                     y_rows = y
                     if rows is not None and rows.size < y.data.shape[0]:
                         y_rows = ad.gather_rows(y, rows if runs is None else np.searchsorted(runs, rows))
-                    out = self._transform(node, direction, y_rows)
-                    if mode == "train":
-                        part = (rows, ad.scale_by_gate(out, open_gates, j))
-                    else:
-                        g = gates[slice(None) if rows is None else rows, i, j].reshape(-1, 1, 1, 1)
-                        part = (rows, ad.mul(out, Tensor(g)))
+                    part = (rows, self._transform(node, direction, y_rows), path_gates, j)
                     if direction == "keep" and layer == spec.num_layers:
                         last_outputs[node.scale] = part
                     else:
@@ -497,41 +526,17 @@ class Supernet:
         return pyramid, record
 
     def _node_input(
-        self, node: NodeId, images: Tensor, contribs: list[Part], n_open: np.ndarray, rows: np.ndarray | None
+        self, node: NodeId, images: Tensor, parts: list[Part], n_open: np.ndarray, rows: np.ndarray | None
     ) -> Tensor:
         """Mean of the open incoming paths (zeros when none) at the sorted
-        sample indices rows (None: every sample); layer 1 reads the stem.
-
-        On every sample, each contribution goes back to its rows of the
-        batch before the sums, so a router reads the bytes and memory
-        layout that running every transform on the whole batch would give.
-        On a subset, each row sums only the contributions that hold it, in
-        the same order: the same values but for the sign of a zero, which
-        no conv output sees (its taps add every product into a +0). Most
-        forced node inputs at batch 16 have every contribution on exactly
-        the node's rows; those add as they are, without _sum_at_rows's
-        index work, which costs about twice the plain adds.
-        """
+        sample indices rows (None: every sample), one op (path_mean);
+        layer 1 reads the stem."""
         if node.layer == 1:
             return self.stem_forward(ad.gather_rows(images, rows))
         B = n_open.shape[0]
-        if rows is None:
-            parts = [t if r is None else _scatter_rows(t, r, B) for r, t in contribs]
-        else:
-            n_open = n_open[rows]
-            if all(r is not None and np.array_equal(r, rows) for r, _ in contribs):
-                parts = [t for _, t in contribs]
-            else:
-                parts = [_sum_at_rows(contribs, rows, B)]
         if not parts:
             return Tensor(np.zeros(self._node_shape(node, B)))
-        x = parts[0]
-        for extra in parts[1:]:
-            x = ad.add(x, extra)
-        if np.all(n_open <= 1):
-            return x
-        scale = 1.0 / np.maximum(n_open, 1.0)
-        return ad.mul(x, Tensor(scale.reshape(-1, 1, 1, 1)))
+        return path_mean(parts, n_open, rows, B)
 
     def _node_shape(self, node: NodeId, batch: int) -> tuple[int, int, int, int]:
         b, size = batch, self._scale_size(node.scale)
@@ -590,9 +595,7 @@ class Supernet:
         pyramid: list[Tensor] = []
         for s in range(self.spec.num_scales):
             if s in last_outputs:
-                rows, feat = last_outputs[s]
-                if rows is not None:
-                    feat = _scatter_rows(feat, rows, B)
+                feat = path_mean([last_outputs[s]], None, None, B)
             elif mode == "infer":
                 pyramid.append(Tensor(np.zeros((B, self.spec.head_channels) + self._scale_size(s))))
                 continue

@@ -7,10 +7,10 @@ import pytest
 
 import dynroute.autodiff as ad
 from dynroute.autodiff import Tape, Tensor, grad_check, ops
-from dynroute.autodiff.tensor import record
+from dynroute.autodiff.tensor import _unbroadcast, record
 from dynroute.costmodel import CostConstants, NodeCost, network_cost
 from dynroute.errors import ConfigurationError, UsageError
-from dynroute.head_loss import _distances, _focal_loss, _iou_loss
+from dynroute.head_loss import LossWeights, _distances, _focal_loss, _iou_loss, total_loss
 from dynroute.scale_budget import global_budget_loss
 from dynroute.similarity import (
     SimilarityConfig,
@@ -18,7 +18,7 @@ from dynroute.similarity import (
     local_similarity_loss,
     scale_similarity,
 )
-from dynroute.supernet import NodeId, SupernetSpec
+from dynroute.supernet import NodeId, SupernetSpec, path_mean
 
 
 def test_add_identity():
@@ -599,20 +599,25 @@ def test_router_equals_the_chain_of_generic_ops_bytewise(shape, layout):
 
 
 def test_router_and_budget_loss_record_one_tape_entry():
-    """So do the path gate, a 1x1 conv with its bias, the distance map and
-    a sum over several tensors."""
+    """So do a node's input over one and over two gated paths, a 1x1 conv
+    with its bias, the distance map, a sum over several tensors and the
+    weighted objective."""
     rng = np.random.default_rng(6)
     x, conv_w, fc_w, fc_b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 4, 3, 5), (4, 4), (4, 3), (3,)))
     c_net = Tensor(rng.uniform(size=5), requires_grad=True)
     bias = Tensor(rng.normal(size=4), requires_grad=True)
     gates = Tensor(rng.uniform(size=(2, 3)), requires_grad=True)
+    c_net_gates = Tensor(rng.uniform(size=(2, 3)), requires_grad=True)
+    c_net_loss = Tensor(rng.uniform(), requires_grad=True)
     makes = (
         lambda: ad.router(x, conv_w, fc_w, fc_b),
         lambda: global_budget_loss(c_net, Tensor(np.full(5, 0.3))),
-        lambda: ad.scale_by_gate(x, gates, 1),
+        lambda: path_mean([(None, x, gates, 1)], None, None, 2),
+        lambda: path_mean([(None, x, gates, 0), (None, x, c_net_gates, 2)], np.array([2.0, 1.0]), None, 2),
         lambda: ad.conv2d_1x1(x, conv_w, bias),
         lambda: _distances(x, 8.0),
         lambda: ad.tsum(x, c_net, gates),
+        lambda: total_loss(Tensor(0.5, requires_grad=True), c_net_loss, c_net_loss, LossWeights(0.5, 2.0)),
     )
     for make in makes:
         with Tape() as tape:
@@ -691,7 +696,8 @@ def _maps(rng, shape, layout):
 )
 def test_scale_by_gate_equals_take_and_mul_bytewise(shape, layout):
     """Each of a node's three paths scaled by its column of the node's
-    gates equals, bit for bit, the mul by a gathered column it replaces:
+    gates (path_mean of that one path) equals, bit for bit, the mul by a
+    gathered column it replaces:
     outputs and their layout, taped and tapeless, and the gradients of
     the paths and of the gates, which every path and a later consumer
     feed (the gradients reach them in the same order), with gates and
@@ -711,7 +717,7 @@ def test_scale_by_gate_equals_take_and_mul_bytewise(shape, layout):
                 if take_and_mul:
                     outs.append(ad.mul(x, _take(g, (slice(None), slice(j, j + 1), None, None))))
                 else:
-                    outs.append(ad.scale_by_gate(x, g, j))
+                    outs.append(path_mean([(None, x, g, j)], None, None, B))
             return ad.concat(outs, axis=1)
 
         return op
@@ -721,9 +727,159 @@ def test_scale_by_gate_equals_take_and_mul_bytewise(shape, layout):
     results = [_run_bytewise(gated(chain), datas, upstream, later) for chain in (False, True)]
     assert results[0] == results[1]
     for j, path in enumerate(paths):  # each path's own output keeps the layout of the chain's
-        new = ad.scale_by_gate(Tensor(path), Tensor(gates), j).data
+        new = path_mean([(None, Tensor(path), Tensor(gates), j)], None, None, B).data
         old = ad.mul(Tensor(path), _take(Tensor(gates), (slice(None), slice(j, j + 1), None, None))).data
         assert (new.strides, new.tobytes()) == (old.strides, old.tobytes())
+
+
+def _scale_by_gate(x, gates, j):
+    """x times column j of gates, the one-op path gate path_mean absorbed:
+    column j's gradient sums g * x over channels, then rows, then
+    columns."""
+    col = gates.data[:, j].reshape(-1, 1, 1, 1)
+    x_data, shape = x.data, gates.data.shape
+
+    def backward(g):
+        g_gates = np.zeros(shape)
+        g_gates[:, j] += _unbroadcast(g * x_data, col.shape).reshape(-1)
+        return g * col, g_gates
+
+    return record((x, gates), x_data * col, backward)
+
+
+def _scatter_rows(part, rows, batch):
+    """part's samples at the sorted indices rows of a batch, zeros
+    elsewhere, in part's memory layout (untracked)."""
+    full = np.zeros_like(part.data, shape=(batch,) + part.data.shape[1:])
+    full[rows] = part.data
+    return Tensor(full)
+
+
+def _sum_at_rows(contribs, rows, batch):
+    """The sum of the (rows, tensor) contributions at the sorted sample
+    indices rows, in contribution order; a row a contribution lacks adds
+    nothing to it (untracked)."""
+    slot = np.full(batch, -1)
+    slot[rows] = np.arange(rows.size)
+    out = np.zeros((rows.size,) + contribs[0][1].data.shape[1:])
+    for r, t in contribs:
+        if r is None:
+            out += t.data[rows]
+            continue
+        at = slot[r]
+        held = at >= 0
+        out[at[held]] += t.data[held]
+    return Tensor(out)
+
+
+def _old_node_input(parts, n_open, rows, batch):
+    """A node's input as the chain path_mean replaced: every path gated
+    at its sender (the one-op gate in train mode, a mul by the gate column
+    at the path's rows in infer mode), then brought to rows by scatters,
+    as they are or by _sum_at_rows, added by ad.add and scaled by one
+    ad.mul by 1/n where some n exceeds 1."""
+    contribs = []
+    for r, out, gates, j in parts:
+        if r is None and rows is None:
+            contribs.append((r, _scale_by_gate(out, gates, j)))
+        else:
+            col = gates.data[slice(None) if r is None else r, j].reshape(-1, 1, 1, 1)
+            contribs.append((r, ad.mul(out, Tensor(col))))
+    if rows is None:
+        xs = [t if r is None else _scatter_rows(t, r, batch) for r, t in contribs]
+    else:
+        n_open = n_open[rows]
+        if all(r is not None and np.array_equal(r, rows) for r, _ in contribs):
+            xs = [t for _, t in contribs]
+        else:
+            xs = [_sum_at_rows(contribs, rows, batch)]
+    x = xs[0]
+    for extra in xs[1:]:
+        x = ad.add(x, extra)
+    if n_open is None or np.all(n_open <= 1):
+        return x
+    return ad.mul(x, Tensor((1.0 / np.maximum(n_open, 1.0)).reshape(-1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("layout", ["c", "upsampled", "up_last", "up_first"])
+@pytest.mark.parametrize(
+    "shape, n_paths, n_max",
+    [((16, 3, 4, 6), 1, None), ((1, 2, 2, 2), 1, 1), ((16, 3, 4, 6), 2, 1), ((16, 3, 4, 6), 2, 2),
+     ((16, 3, 4, 6), 3, 3), ((1, 2, 2, 2), 3, 3), ((4, 12, 6, 10), 2, 1), ((4, 12, 6, 10), 3, 3)],
+)
+def test_path_mean_equals_the_gate_add_and_mean_chain_bytewise(shape, layout, n_paths, n_max):
+    """A train-mode node input equals, bit for bit, the one-op gate per
+    path, the ad.add chain and the ad.mul by 1/n it replaced: output and
+    its layout, taped and tapeless, and the gradients of every path and
+    of each source node's gates, with one to three paths in C order, in
+    the transposed layout bilinear upsampling returns, or mixed (an
+    upsampled path last, as an up path arrives, or first, so the sum
+    takes a layout other than its first path's), maps with axes longer
+    than 8 (where layout orders numpy's pairwise sums), open counts up
+    to n_max (None: no mean, as at a projection; 1: no mul), a later
+    consumer of a path and of a gate tensor (the tape hands them that
+    gradient first), and paths, gates and upstream gradients holding
+    +0.0 and -0.0."""
+    B = shape[0]
+    rng = np.random.default_rng(sum(shape) + n_paths)
+    layouts = {"up_last": ["c"] * (n_paths - 1) + ["upsampled"], "up_first": ["upsampled"] + ["c"] * (n_paths - 1)}
+    paths = [_signed_zeros(rng, _maps(rng, shape, k), 0.1) for k in layouts.get(layout, [layout] * n_paths)]
+    gates = [_signed_zeros(rng, rng.uniform(size=(B, 3))) for _ in range(n_paths)]
+    n_open = None if n_max is None else rng.integers(0, n_max + 1, B).astype(np.float64)
+    upstream = _signed_zeros(rng, rng.normal(size=shape))
+    later = {0: _signed_zeros(rng, rng.normal(size=shape)), n_paths: _signed_zeros(rng, rng.normal(size=(B, 3)))}
+    columns = (2, 1, 0)  # down, keep, up: the order paths reach a node
+
+    def node_input(chain):
+        def op(*inputs):
+            parts = [(None, x, g, j) for x, g, j in zip(inputs[:n_paths], inputs[n_paths:], columns)]
+            return (_old_node_input if chain else path_mean)(parts, n_open, None, B)
+
+        return op
+
+    results = [_run_bytewise(node_input(chain), paths + gates, upstream, later) for chain in (False, True)]
+    assert results[0] == results[1]
+    if n_max is not None and n_max > 1:
+        assert (n_open > 1).any()
+
+
+@pytest.mark.parametrize("layout", ["c", "upsampled"])
+@pytest.mark.parametrize("n_max", [1, 3])
+@pytest.mark.parametrize(
+    "rows, path_rows",
+    [
+        (None, [None, [0, 2, 5], [1, 2]]),  # a router's input: the whole batch
+        ([1, 3, 4], [[1, 3, 4], [1, 3, 4], [1, 3, 4]]),  # exactly the block's rows
+        ([1, 3, 4], [[1, 3, 4]]),
+        ([1, 3, 4], [None, [0, 1, 4, 5], [3]]),  # per-row sums
+        ([0, 2], [[0, 1, 2], [2]]),
+    ],
+)
+def test_path_mean_equals_the_infer_chains_bytewise(rows, path_rows, n_max, layout):
+    """A tapeless node input equals, bit for bit and in memory layout,
+    the chains path_mean replaced: each path multiplied by its gate column
+    at its rows, then on the whole batch scattered back to it in its own
+    layout, on exactly the paths' rows added as they are, and otherwise
+    summed per row by _sum_at_rows; then added and scaled by 1/n. Paths
+    in C order or the transposed upsampled layout, open counts up to
+    n_max, signed zeros in paths and gates. Under a tape, a path with rows
+    records nothing, as the untracked scatters did."""
+    B, C, H, W = 6, 3, 4, 2
+    rng = np.random.default_rng(len(path_rows) + n_max)
+    rows = None if rows is None else np.array(rows)
+    parts = []
+    for j, r in zip((2, 1, 0), path_rows):
+        r = None if r is None else np.array(r)
+        n = B if r is None else r.size
+        out = Tensor(_signed_zeros(rng, _maps(rng, (n, C, H, W), layout), 0.1), requires_grad=True)
+        parts.append((r, out, Tensor(_signed_zeros(rng, rng.uniform(size=(B, 3))), requires_grad=True), j))
+    n_open = rng.integers(0, n_max + 1, B).astype(np.float64)
+    new = path_mean(parts, n_open, rows, B).data
+    old = _old_node_input(parts, n_open, rows, B).data
+    assert (new.shape, new.strides, new.tobytes()) == (old.shape, old.strides, old.tobytes())
+    with Tape() as tape:
+        path_mean(parts, n_open, rows, B)
+    assert len(tape) == 0
 
 
 @pytest.mark.parametrize(
@@ -972,26 +1128,38 @@ OPS = [
     # broadcast over samples, rows and columns
     ("reshape", lambda b: ad.conv2d_1x1(Tensor(_GATE_X), Tensor(_MIX_3), b), [(3,)], None),
     ("concat", lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)], None),
-    # the path gate, which absorbed the gate-column gather: take, two paths
-    # scaled by the same column, whose gradients must sum there;
-    # take_slice_none, the gates alone, one column of (4, 3);
-    # take_ellipsis_cols_1d, the last column at batch 1; take_ellipsis_cols_2d,
-    # columns 0 and 2 of the same gates
+    # a node's input, which absorbed the gate-column gather and the path
+    # gate: take, two paths scaled by the same column, whose gradients
+    # must sum there; take_slice_none, the gates alone, one column of
+    # (4, 3); take_ellipsis_cols_1d, the last column at batch 1;
+    # take_ellipsis_cols_2d, columns 0 and 2 of the same gates on the same
+    # path; scale_by_gate, one gated path, as at a projection; path_mean,
+    # three paths from three nodes, averaged over 0, 2 and 3 open paths
     (
         "take",
-        lambda x, y, g: ad.add(ad.scale_by_gate(x, g, 1), ad.scale_by_gate(y, g, 1)),
+        lambda x, y, g: path_mean([(None, x, g, 1), (None, y, g, 1)], None, None, 2),
         [(2, 2, 2, 2), (2, 2, 2, 2), (2, 3)],
         None,
     ),
-    ("take_slice_none", lambda g: ad.scale_by_gate(Tensor(_GATE_X), g, 1), [(4, 3)], None),
-    ("take_ellipsis_cols_1d", lambda x, g: ad.scale_by_gate(x, g, 2), [(1, 2, 3, 3), (1, 3)], None),
+    ("take_slice_none", lambda g: path_mean([(None, Tensor(_GATE_X), g, 1)], None, None, 4), [(4, 3)], None),
+    ("take_ellipsis_cols_1d", lambda x, g: path_mean([(None, x, g, 2)], None, None, 1), [(1, 2, 3, 3), (1, 3)], None),
     (
         "take_ellipsis_cols_2d",
-        lambda x, g: ad.concat([ad.scale_by_gate(x, g, 0), ad.scale_by_gate(x, g, 2)]),
+        lambda x, g: path_mean([(None, x, g, 0), (None, x, g, 2)], None, None, 4),
         [(4, 2, 2, 2), (4, 3)],
         None,
     ),
-    ("scale_by_gate", lambda x, g: ad.scale_by_gate(x, g, 0), [(3, 2, 2, 3), (3, 3)], None),
+    ("scale_by_gate", lambda x, g: path_mean([(None, x, g, 0)], None, None, 3), [(3, 2, 2, 3), (3, 3)], None),
+    (
+        "path_mean",
+        lambda a, b, c, ga, gb, gc: path_mean(
+            [(None, a, ga, 2), (None, b, gb, 1), (None, c, gc, 0)], np.array([0.0, 2.0, 3.0]), None, 3
+        ),
+        [(3, 2, 2, 2)] * 3 + [(3, 3)] * 3,
+        None,
+    ),
+    # the weighted objective, both regularizers kept
+    ("total_loss", lambda a, b, c: total_loss(a, b, c, LossWeights(0.7, 1.3)), [(), (), ()], None),
     ("identity", lambda a: a, [(3,)], None),
     # the detection loss terms, each one op: per-element focal losses of
     # (B, K, H, W) logits, and 1 - IoU of exp-positive distances at

@@ -184,14 +184,19 @@ def test_train_on_bad_annotations_exit_2_before_output(tmp_path, capsys, tiny_co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("corpus", ["40x40", "empty"])
+@pytest.mark.parametrize("corpus", ["40x40", "empty", "0x0"])
 def test_train_on_a_corpus_the_spec_cannot_run_exit_2_before_output(tmp_path, capsys, corpus):
     """Images whose side is not a multiple of the default 4-scale net's 64,
-    or no images at all: exit 2 with one error line before --out exists."""
+    no images at all, or images without pixels: exit 2 with one error
+    line before --out exists."""
     data = tmp_path / "corpus"
     if corpus == "empty":
         (data / "images").mkdir(parents=True)
         (data / "annotations.jsonl").write_text("")
+    elif corpus == "0x0":
+        (data / "images").mkdir(parents=True)
+        (data / "images" / "img_00000.pgm").write_bytes(b"P5\n0 0\n255\n")
+        (data / "annotations.jsonl").write_text('{"image_id": 0, "boxes": []}\n')
     else:
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"data": {"image_size": 40, "num_images": 4}}))
@@ -202,7 +207,7 @@ def test_train_on_a_corpus_the_spec_cannot_run_exit_2_before_output(tmp_path, ca
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert ("divisible by 64" if corpus == "40x40" else "corpus is empty") in err
+    assert {"40x40": "divisible by 64", "empty": "corpus is empty", "0x0": "no pixels"}[corpus] in err
     assert not out.exists()
 
 
@@ -373,6 +378,25 @@ class TestCommands:
         code, err = self._run_on_checkpoint(pipeline, tmp_path, capsys, command, arrays, meta)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and f"{name} is not finite" in err
+
+    @pytest.mark.parametrize("command", ["eval", "cost-report", "export-route"])
+    def test_image_without_pixels_exit_2(self, pipeline, tmp_path, capsys, command):
+        """A 0x0 PGM is malformed: one error line, no output written."""
+        (tmp_path / "images").mkdir()
+        (tmp_path / "images" / "img_00000.pgm").write_bytes(b"P5\n0 0\n255\n")
+        (tmp_path / "annotations.jsonl").write_text('{"image_id": 0, "boxes": []}\n')
+        out = tmp_path / "out.txt"
+        data = {
+            "eval": ["--data", str(tmp_path), "--report", str(out)],
+            "cost-report": ["--data", str(tmp_path), "--out", str(out)],
+            "export-route": ["--image", str(tmp_path / "images" / "img_00000.pgm"), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(pipeline["run"] / "checkpoint.ckpt"), *data])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "no pixels" in err
+        assert not out.exists()
 
     def test_missing_checkpoint_exit_2(self, tmp_path):
         code = main([

@@ -59,6 +59,11 @@ def test_similarity_section_reaches_train_config(tmp_path):
         ({"data": {"scale_mix": [[[1, 0, 0, 0]]]}}, "data.scale_mix"),
         ({"budget": {"loss_buffer_len": 100}}, "loss_buffer_len"),  # a removed key
         ({"train": 3}, "config train must be a JSON object"),
+        # a JSON boolean is not a float: true would load as 1.0, false as 0.0
+        ({"train": {"base_lr": True}}, "train.base_lr"),
+        ({"train": {"lambda2": False}}, "train.lambda2"),
+        ({"supernet": {"gate_threshold": True}}, "supernet.gate_threshold"),
+        ({"data": {"scale_mix": [[[1, 0, 0, 0], True]]}}, "data.scale_mix"),
     ],
 )
 def test_load_config_rejects(tmp_path, overrides, match):

@@ -644,6 +644,38 @@ class TestTotalLoss:
         with pytest.raises(NumericError, match="L_global"):
             total_loss(Tensor(0.5), Tensor(np.nan), Tensor(0.2), LossWeights(1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "lambdas, passed",
+        [((0.7, 1.3), (True, True)), ((0.0, 1.3), (True, True)), ((0.7, 1.3), (True, False)), ((0.7, 0.0), (False, True))],
+    )
+    def test_equals_the_add_and_mul_chain_bytewise(self, lambdas, passed):
+        """The one-op objective forwards, and hands each term, the same
+        bytes as the chain of ad.mul and ad.add it replaced, with a term
+        passed as None or weighted 0 left out; it records one tape entry,
+        or none when it returns l_det itself."""
+        weights = LossWeights(*lambdas)
+
+        def chain(l_det, l_global, l_local):
+            out = l_det
+            if l_global is not None and weights.lambda1 > 0:
+                out = ad.add(out, ad.mul(l_global, Tensor(weights.lambda1)))
+            if l_local is not None and weights.lambda2 > 0:
+                out = ad.add(out, ad.mul(l_local, Tensor(weights.lambda2)))
+            return out
+
+        results, entries = [], []
+        for fn in (lambda *terms: total_loss(*terms, weights), chain):
+            ts = [Tensor(np.array(v), requires_grad=True) for v in (0.8123, 0.0371, 0.4519)]
+            terms = [ts[0]] + [t if keep else None for t, keep in zip(ts[1:], passed)]
+            with Tape() as tape:
+                out = fn(*terms)
+                entries.append(len(tape))
+                tape.backward(ad.mul(out, Tensor(0.37)))
+            results.append((out.data.tobytes(), [b"-" if t.grad is None else t.grad.tobytes() for t in ts]))
+        assert results[0] == results[1]
+        kept = sum(keep and w > 0 for keep, w in zip(passed, lambdas))
+        assert entries == [min(kept, 1), 2 * kept]
+
     def test_gradient_is_weighted_sum_of_term_gradients(self):
         a = Tensor(np.array(0.5), requires_grad=True)
         b = Tensor(np.array(0.1), requires_grad=True)

@@ -101,6 +101,9 @@ def test_pgm_header_size_must_match_pixel_count(corpus_dir, w, h):
         pytest.param(
             "img.pgm", b"P5\n4 3\n255\n" + bytes(16), read_pgm, DataError, id="pgm-16-bytes-for-4x3"
         ),
+        # no pixels: the header's size holds its 0 bytes, but no net can run it
+        pytest.param("img.pgm", b"P5\n0 0\n255\n", read_pgm, DataError, id="pgm-0x0"),
+        pytest.param("img.pgm", b"P5\n0 4\n255\n", read_pgm, DataError, id="pgm-0x4"),
         *(
             pytest.param(
                 "annotations.jsonl",

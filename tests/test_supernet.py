@@ -1,5 +1,7 @@
 """Trellis wiring, routers, gate binarization, and mode consistency."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from dynroute.supernet import (
     DIRECTIONS,
     NodeId,
     SupernetSpec,
-    _scatter_rows,
     binarize_gates,
     build_supernet,
+    path_mean,
     reachable_nodes,
     valid_directions,
 )
@@ -201,6 +203,9 @@ class TestSupernetForward:
         net = build_supernet(DESK_SPEC, seed=0)
         with pytest.raises(UsageError, match="divisible"):
             net.forward(Tensor(np.zeros((1, 1, 60, 60))), mode="infer")
+        for shape in ((1, 1, 0, 0), (1, 1, 0, 64)):  # 0 is a multiple of 64, but holds no pixel
+            with pytest.raises(UsageError, match="positive"):
+                net.forward(Tensor(np.zeros(shape)), mode="train")
 
     def test_train_infer_consistency_on_binary_gates(self):
         net = build_supernet(DESK_SPEC, seed=2)
@@ -379,14 +384,43 @@ class TestSampleSparseInfer:
         """Bilinear upsampling returns a transposed layout. Rows put back
         in another layout would change the order of later reductions (the
         router's pooling sums), so results would differ in the last bits
-        from running the transform on the whole batch."""
+        from running the transform on the whole batch. path_mean puts a
+        path's rows back in its own layout."""
         part = ad.bilinear_upsample_2x(Tensor(np.random.default_rng(0).normal(size=(3, 4, 2, 2))))
         rows = np.array([True, False, True, False, True])
-        full = _scatter_rows(part, np.flatnonzero(rows), 5).data
+        gates = Tensor(np.full((5, 3), 0.5))
+        full = path_mean([(np.flatnonzero(rows), part, gates, 1)], None, None, 5).data
         assert not part.data.flags["C_CONTIGUOUS"]
         assert np.argsort(full.strides).tolist() == np.argsort(part.data.strides).tolist()
-        assert np.array_equal(full[rows], part.data)
+        assert np.array_equal(full[rows], part.data * 0.5)
         assert not full[~rows].any()
+
+    def test_train_forward_records_one_entry_per_node_input(self):
+        """A train-mode forward records one path_mean per node input that
+        some path reaches and one per projection a path reaches, and no
+        generic add or mul: a node's gates, sum and mean are one op. Node
+        (1, 0) sends down on no sample, so node (2, 1) is dead and node
+        (3, 2)'s input has no path at all (train mode still runs closed
+        paths out of live nodes)."""
+        net = build_supernet(DESK_SPEC, seed=5)
+        forced = {NodeId(1, 0): np.array([0.0, 0.8, 0.0])}
+        with Tape() as tape:
+            _, record = net.forward(_images(DESK_SPEC, 3, seed=4), mode="train", forced_gates=forced)
+        ops = Counter(entry.backward.__qualname__.split(".")[0] for entry in tape._entries)
+        live = {n: n.layer == 1 for n in net.nodes}
+        for n in net.nodes:
+            for j, (_, delta) in enumerate(DIRECTIONS):
+                target = NodeId(n.layer + 1, n.scale + delta)
+                if target in live:
+                    live[target] |= bool(record.masks[n][:, j].any())
+        fed = set()  # node inputs and projections some path reaches
+        for n in net.nodes:
+            for j, (_, delta) in enumerate(DIRECTIONS):
+                if live[n] and net.node_masks[n][j]:
+                    fed.add(NodeId(n.layer + 1, n.scale + delta))
+        assert not live[NodeId(2, 1)] and NodeId(3, 2) not in fed
+        assert ops["path_mean"] == len(fed)
+        assert ops["add"] == ops["mul"] == 0
 
     def test_convs_run_only_on_samples_that_need_them(self, monkeypatch):
         net = build_supernet(DESK_SPEC, seed=5)
