@@ -607,17 +607,17 @@ def test_router_and_budget_loss_record_one_tape_entry():
     c_net = Tensor(rng.uniform(size=5), requires_grad=True)
     bias = Tensor(rng.normal(size=4), requires_grad=True)
     gates = Tensor(rng.uniform(size=(2, 3)), requires_grad=True)
-    c_net_gates = Tensor(rng.uniform(size=(2, 3)), requires_grad=True)
-    c_net_loss = Tensor(rng.uniform(), requires_grad=True)
+    down_gates = Tensor(rng.uniform(size=(2, 3)), requires_grad=True)
+    l_reg = Tensor(rng.uniform(), requires_grad=True)
     makes = (
         lambda: ad.router(x, conv_w, fc_w, fc_b),
         lambda: global_budget_loss(c_net, Tensor(np.full(5, 0.3))),
         lambda: path_mean([(None, x, gates, 1)], None, None, 2),
-        lambda: path_mean([(None, x, gates, 0), (None, x, c_net_gates, 2)], np.array([2.0, 1.0]), None, 2),
+        lambda: path_mean([(None, x, gates, 0), (None, x, down_gates, 2)], np.array([2.0, 1.0]), None, 2),
         lambda: ad.conv2d_1x1(x, conv_w, bias),
         lambda: _distances(x, 8.0),
         lambda: ad.tsum(x, c_net, gates),
-        lambda: total_loss(Tensor(0.5, requires_grad=True), c_net_loss, c_net_loss, LossWeights(0.5, 2.0)),
+        lambda: total_loss(Tensor(0.5, requires_grad=True), l_reg, l_reg, LossWeights(0.5, 2.0)),
     )
     for make in makes:
         with Tape() as tape:
