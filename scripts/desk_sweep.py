@@ -50,10 +50,7 @@ from dynroute.supernet import SupernetSpec  # noqa: E402
 from dynroute.trainer import EvalSummary, Model, TrainConfig, evaluate_routing, spearman, train  # noqa: E402
 
 # the desk model, corpora and configs of tests/test_acceptance.py
-DESK_SPEC = SupernetSpec(
-    num_layers=8, num_scales=4, channels_per_scale=(8, 16, 32, 64),
-    head_channels=32, in_channels=1,
-)
+DESK_SPEC = SupernetSpec()
 DESK_INTERVALS = ScaleIntervals((8.0, 16.0, 32.0))
 RUNS = ("fixed", "loss_aware", "scale_dynamic", "scale_dynamic_l2off")
 

@@ -135,15 +135,15 @@ def cmd_export_route(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# diagram emitters
+# diagram emitters: the route of a record's first (only) sample
 # ---------------------------------------------------------------------------
 
-def _open_edges(spec: SupernetSpec, record: RouteRecord, sample: int = 0):
+def _open_edges(spec: SupernetSpec, record: RouteRecord):
     """Yield (node, gate_value, receiver) for open gates; the receiver is
     the NodeId fed, or at the last layer the int output scale."""
     for node in record.node_ids:
-        mask = record.masks[node][sample]
-        gates = record.gates[node][sample]
+        mask = record.masks[node][0]
+        gates = record.gates[node][0]
         for j, (_direction, delta) in enumerate(DIRECTIONS):
             if not mask[j]:
                 continue
@@ -154,11 +154,7 @@ def _open_edges(spec: SupernetSpec, record: RouteRecord, sample: int = 0):
             yield node, float(gates[j]), receiver
 
 
-def _node_open(record: RouteRecord, node: NodeId, sample: int = 0) -> bool:
-    return bool(record.masks[node][sample].any())
-
-
-def route_to_dot(spec: SupernetSpec, record: RouteRecord, sample: int = 0) -> str:
+def route_to_dot(spec: SupernetSpec, record: RouteRecord) -> str:
     lines = [
         "digraph route {",
         "  rankdir=LR;",
@@ -167,7 +163,7 @@ def route_to_dot(spec: SupernetSpec, record: RouteRecord, sample: int = 0) -> st
     for node in record.node_ids:
         name = f"n{node.layer}_{node.scale}"
         label = f"L{node.layer}/S{node.scale}"
-        if _node_open(record, node, sample):
+        if record.masks[node][0].any():
             lines.append(f'  {name} [label="{label}"];')
         else:
             lines.append(
@@ -176,14 +172,14 @@ def route_to_dot(spec: SupernetSpec, record: RouteRecord, sample: int = 0) -> st
     for s in range(spec.num_scales):
         lines.append(f'  out{s} [shape=box, label="C{3 + s}"];')
     lines.append("  stem -> n1_0;")
-    for node, gate, receiver in _open_edges(spec, record, sample):
+    for node, gate, receiver in _open_edges(spec, record):
         target = f"out{receiver}" if isinstance(receiver, int) else f"n{receiver.layer}_{receiver.scale}"
         lines.append(f'  n{node.layer}_{node.scale} -> {target} [label="{gate:.3f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def route_to_svg(spec: SupernetSpec, record: RouteRecord, sample: int = 0) -> str:
+def route_to_svg(spec: SupernetSpec, record: RouteRecord) -> str:
     cell = 70
     pad = 40
     width = pad * 2 + (spec.num_layers + 2) * cell
@@ -202,7 +198,7 @@ def route_to_svg(spec: SupernetSpec, record: RouteRecord, sample: int = 0) -> st
     parts.append(
         f'<line x1="{sx}" y1="{sy}" x2="{x1}" y2="{y1}" stroke="black" stroke-width="1.5"/>'
     )
-    for node, _gate, receiver in _open_edges(spec, record, sample):
+    for node, _gate, receiver in _open_edges(spec, record):
         ax, ay = pos(node.layer, node.scale)
         if isinstance(receiver, int):
             bx, by = pos(spec.num_layers + 1, receiver)
@@ -219,7 +215,7 @@ def route_to_svg(spec: SupernetSpec, record: RouteRecord, sample: int = 0) -> st
     )
     for node in record.node_ids:
         x, y = pos(node.layer, node.scale)
-        fill = "steelblue" if _node_open(record, node, sample) else "lightgray"
+        fill = "steelblue" if record.masks[node][0].any() else "lightgray"
         parts.append(f'<circle cx="{x}" cy="{y}" r="10" fill="{fill}" stroke="black"/>')
     for s in range(spec.num_scales):
         x, y = pos(spec.num_layers + 1, s)

@@ -1,17 +1,19 @@
-"""Run configuration: schema, defaults, validation and typed builders.
+"""Run configuration: schema, key tables, validation and typed builders.
 
 A config is a single JSON document (schema "dynroute-config/1") with
 sections supernet, budget, similarity, head, data, train. Every field
 has a default and unknown keys are rejected, a key that an older
-version accepted included. The train section sets one schedule:
-pretrain_epochs dense epochs (logged as epoch 0), then routed epochs
-numbered from 1, with one learning rate for every parameter (warmup
-ramp, then drops by 10) and the regularizers off for
-regularizer_warmup_epochs, then ramped in. The budget section picks the
-strategy and C0; the loss_aware strategy ranks each loss among the last
-100. The environment variable DYNROUTE_SEED overrides both data and
-train seeds. Images have one channel and objects two classes
-(data_synth.NUM_CLASSES); neither is a setting.
+version accepted included. Each default lives on its typed setting
+only; DEFAULT_CONFIG is built from them through KEYS, the per-section
+table of keys and converters that the builders read too. The train
+section sets one schedule: pretrain_epochs dense epochs (logged as
+epoch 0), then routed epochs numbered from 1, with one learning rate
+for every parameter (warmup ramp, then drops by 10) and the
+regularizers off for regularizer_warmup_epochs, then ramped in. The
+budget section picks the strategy and C0; the loss_aware strategy ranks
+each loss among the last 100. The environment variable DYNROUTE_SEED
+overrides both data and train seeds. Images have one channel and
+objects two classes (data_synth.NUM_CLASSES); neither is a setting.
 
 load_config merges a file over the defaults and builds every typed
 object from the result, so a bad value fails there, as one
@@ -29,60 +31,12 @@ from dataclasses import dataclass
 
 from .data_synth import SynthConfig
 from .errors import ConfigurationError
-from .head_loss import LossWeights
+from .head_loss import TOWER_DEPTH, LossWeights
 from .scale_budget import STRATEGIES, ScaleIntervals
 from .similarity import SimilarityConfig
 from .supernet import SupernetSpec
 
 SCHEMA = "dynroute-config/1"
-
-DEFAULT_CONFIG: dict = {
-    "schema": SCHEMA,
-    "supernet": {
-        "num_layers": 8,
-        "num_scales": 4,
-        "channels_per_scale": [8, 16, 32, 64],
-        "gate_threshold": 1e-4,
-        "head_channels": 32,
-    },
-    "budget": {
-        "strategy": "scale_dynamic",
-        "c0_ratio": 0.05,
-    },
-    "similarity": {"min_sim": 0.6, "max_sim": 0.95},
-    "head": {"tower_depth": 2},
-    "data": {
-        "image_size": 64,
-        "num_images": 512,
-        "noise": 0.02,
-        "seed": 7,
-        "scale_boundaries": [8, 16, 32],
-        "scale_mix": [
-            [[1, 0, 0, 0], 0.15],
-            [[0, 1, 0, 0], 0.15],
-            [[0, 0, 1, 0], 0.15],
-            [[0, 0, 0, 1], 0.15],
-            [[1, 1, 1, 1], 0.25],
-            [[1, 1, 0, 0], 0.15],
-        ],
-    },
-    "train": {
-        "batch_size": 8,
-        "epochs": 12,
-        "base_lr": 0.01,
-        "lr_drop_epochs": [8, 11],
-        "momentum": 0.9,
-        "weight_decay": 1e-4,
-        "lambda1": 1.0,
-        "lambda2": 1.0,
-        "seed": 7,
-        "regularizer_warmup_epochs": 1,
-        "ramp_steps": 100,
-        "pretrain_epochs": 0,
-        "clip_grad_norm": 10.0,
-        "lr_warmup_steps": 50,
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -97,7 +51,7 @@ class TrainConfig:
     c0_ratio: float = 0.05
     lambda1: float = 1.0
     lambda2: float = 1.0
-    seed: int = 0
+    seed: int = 7
     regularizer_warmup_epochs: int = 1
     ramp_steps: int = 100
     # dense pretraining epochs before the routed schedule: routers are
@@ -138,6 +92,76 @@ class TrainConfig:
             raise ConfigurationError(f"base_lr must be positive, got {self.base_lr}")
         if not (0 <= self.momentum < 1):
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
+
+
+def _int(value) -> int:
+    """value as an int; a float or boolean is refused, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(_int(v) for v in values)
+
+
+def _float(value) -> float:
+    """value as a float; a boolean, NaN and infinities are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return result
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(_float(v) for v in values)
+
+
+def _scale_mix(mix) -> tuple[tuple[tuple[int, ...], float], ...]:
+    return tuple((_ints(pattern), _float(weight)) for pattern, weight in mix)
+
+
+# each section's keys, in document order, with their converters; a key
+# names the field of its typed setting, except where FIELDS renames it
+KEYS: dict[str, dict] = {
+    "supernet": {
+        "num_layers": _int, "num_scales": _int, "channels_per_scale": _ints,
+        "gate_threshold": _float, "head_channels": _int,
+    },
+    "budget": {"strategy": str, "c0_ratio": _float},
+    "similarity": {"min_sim": _float, "max_sim": _float},
+    "head": {"tower_depth": _int},
+    "data": {
+        "image_size": _int, "num_images": _int, "noise": _float, "seed": _int,
+        "scale_boundaries": _floats, "scale_mix": _scale_mix,
+    },
+    "train": {
+        "batch_size": _int, "epochs": _int, "base_lr": _float, "lr_drop_epochs": _ints,
+        "momentum": _float, "weight_decay": _float, "lambda1": _float, "lambda2": _float,
+        "seed": _int, "regularizer_warmup_epochs": _int, "ramp_steps": _int,
+        "pretrain_epochs": _int, "clip_grad_norm": _float, "lr_warmup_steps": _int,
+    },
+}
+FIELDS = {"strategy": "budget_strategy", "scale_boundaries": "boundaries"}
+
+
+def _defaults(name: str, setting) -> dict:
+    return {key: getattr(setting, FIELDS.get(key, key)) for key in KEYS[name]}
+
+
+# every default lives on its typed setting; this is the document they make,
+# its tuples turned into JSON lists
+DEFAULT_CONFIG: dict = json.loads(json.dumps({
+    "schema": SCHEMA,
+    "supernet": _defaults("supernet", SupernetSpec()),
+    "budget": _defaults("budget", TrainConfig()),
+    "similarity": _defaults("similarity", TrainConfig().similarity),
+    "head": {"tower_depth": TOWER_DEPTH},
+    "data": _defaults("data", SynthConfig()),
+    "train": _defaults("train", TrainConfig()),
+}))
 
 
 def _merge_section(defaults: dict, overrides, path: str) -> dict:
@@ -187,85 +211,47 @@ def load_config(path: str | None) -> dict:
     return config
 
 
-def _section(config: dict, name: str, **kinds) -> dict:
-    """The named keys of one config section, each through its converter;
-    a value the converter cannot take is a ConfigurationError naming it."""
+def _section(config: dict, name: str, *keys: str) -> dict:
+    """The given keys (default: all) of one config section through their
+    converters, by field name; a value the converter cannot take is a
+    ConfigurationError naming it."""
     values = {}
-    for key, convert in kinds.items():
+    for key in keys or KEYS[name]:
         try:
-            values[key] = convert(config[name][key])
+            values[FIELDS.get(key, key)] = KEYS[name][key](config[name][key])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"config key {name}.{key}: {exc!r}") from None
     return values
 
 
-def _int(value) -> int:
-    """value as an int; a float or boolean is refused, not truncated."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _ints(values) -> tuple[int, ...]:
-    return tuple(_int(v) for v in values)
-
-
-def _float(value) -> float:
-    """value as a float; a boolean, NaN and infinities are refused."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    result = float(value)
-    if not math.isfinite(result):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return result
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(_float(v) for v in values)
-
-
-def _scale_mix(mix) -> tuple[tuple[tuple[int, ...], float], ...]:
-    return tuple((_ints(pattern), _float(weight)) for pattern, weight in mix)
-
-
 def supernet_spec_from(config: dict) -> SupernetSpec:
-    """The trellis spec; its input is a one-channel (PGM) image."""
-    return SupernetSpec(in_channels=1, **_section(
-        config, "supernet", num_layers=_int, num_scales=_int, channels_per_scale=_ints,
-        gate_threshold=_float, head_channels=_int,
-    ))
+    return SupernetSpec(**_section(config, "supernet"))
 
 
 def intervals_from(config: dict) -> ScaleIntervals:
-    return ScaleIntervals(_section(config, "data", scale_boundaries=_floats)["scale_boundaries"])
+    return ScaleIntervals(_section(config, "data", "scale_boundaries")["boundaries"])
 
 
 def synth_config_from(config: dict) -> SynthConfig:
-    data = _section(
-        config, "data", image_size=_int, num_images=_int, scale_mix=_scale_mix,
-        noise=_float, seed=_int, scale_boundaries=_floats,
-    )
-    return SynthConfig(boundaries=data.pop("scale_boundaries"), **data)
+    return SynthConfig(**_section(config, "data"))
 
 
 def head_from(config: dict) -> dict:
     """tower_depth of the detection head."""
-    head = _section(config, "head", tower_depth=_int)
+    head = _section(config, "head")
     if head["tower_depth"] < 1:
         raise ConfigurationError(f"config key head.tower_depth must be >= 1, got {head['tower_depth']}")
     return head
 
 
+def seed_from(config: dict) -> int:
+    """train.seed, the one train key a model's parameters depend on."""
+    return _section(config, "train", "seed")["seed"]
+
+
 def train_config_from(config: dict) -> TrainConfig:
-    budget = _section(config, "budget", strategy=str, c0_ratio=_float)
-    budget["budget_strategy"] = budget.pop("strategy")
     return TrainConfig(
-        **budget,
-        **_section(
-            config, "train", batch_size=_int, epochs=_int, base_lr=_float, lr_drop_epochs=_ints,
-            momentum=_float, weight_decay=_float, lambda1=_float, lambda2=_float, seed=_int,
-            regularizer_warmup_epochs=_int, ramp_steps=_int, pretrain_epochs=_int,
-            clip_grad_norm=_float, lr_warmup_steps=_int,
-        ),
-        similarity=SimilarityConfig(**_section(config, "similarity", min_sim=_float, max_sim=_float)),
+        **_section(config, "budget"),
+        **_section(config, "train"),
+        similarity=SimilarityConfig(**_section(config, "similarity")),
     )

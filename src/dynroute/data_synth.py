@@ -23,15 +23,6 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .scale_budget import ScaleIntervals
 
-DEFAULT_SCALE_MIX: tuple[tuple[tuple[int, ...], float], ...] = (
-    ((1, 0, 0, 0), 0.15),
-    ((0, 1, 0, 0), 0.15),
-    ((0, 0, 1, 0), 0.15),
-    ((0, 0, 0, 1), 0.15),
-    ((1, 1, 1, 1), 0.25),
-    ((1, 1, 0, 0), 0.15),
-)
-
 BACKGROUND = 0.08
 NUM_CLASSES = 2  # rectangle, disc
 SHAPES_PER_INTERVAL = 2  # draw 1..this many objects per occupied interval
@@ -41,10 +32,17 @@ SHAPES_PER_INTERVAL = 2  # draw 1..this many objects per occupied interval
 class SynthConfig:
     image_size: int = 64
     num_images: int = 512
-    scale_mix: tuple[tuple[tuple[int, ...], float], ...] = DEFAULT_SCALE_MIX
+    scale_mix: tuple[tuple[tuple[int, ...], float], ...] = (
+        ((1, 0, 0, 0), 0.15),
+        ((0, 1, 0, 0), 0.15),
+        ((0, 0, 1, 0), 0.15),
+        ((0, 0, 0, 1), 0.15),
+        ((1, 1, 1, 1), 0.25),
+        ((1, 1, 0, 0), 0.15),
+    )
     noise: float = 0.02
     seed: int = 7
-    boundaries: tuple[float, ...] = (8.0, 16.0, 32.0)
+    boundaries: tuple[float, ...] = (8, 16, 32)  # ints, as the default config writes them
 
     def validate(self) -> ScaleIntervals:
         if self.image_size < 8:
@@ -126,16 +124,17 @@ def generate_corpus(config: SynthConfig) -> Corpus:
     return Corpus(images=images, annotations=annotations, patterns=patterns)
 
 
-def _texture_field(rng, size: int, amplitude: float = 0.05) -> np.ndarray:
-    """Smooth low-frequency background field; flat backgrounds leave the
-    routers nothing to read and make routing degenerate."""
+def _texture_field(rng, size: int) -> np.ndarray:
+    """Smooth low-frequency background field of amplitude 0.05; flat
+    backgrounds leave the routers nothing to read and make routing
+    degenerate."""
     ys, xs = np.mgrid[0:size, 0:size] / size
     field = np.zeros((size, size))
     for _ in range(4):
         kx, ky = rng.uniform(0.5, 3.0, size=2)
         phase = rng.uniform(0, 2 * np.pi)
         field += rng.uniform(0.3, 1.0) * np.sin(2 * np.pi * (kx * xs + ky * ys) + phase)
-    field *= amplitude / max(1e-9, np.abs(field).max())
+    field *= 0.05 / max(1e-9, np.abs(field).max())
     return field
 
 
@@ -173,9 +172,9 @@ def _render_image(rng, pattern, intervals, size, noise):
     return np.round(np.clip(canvas, 0.0, 1.0) * 255).astype(np.uint8), boxes
 
 
-def _place(rng, size, w, h, placed, attempts: int = 8):
+def _place(rng, size, w, h, placed):
     best = None
-    for _ in range(attempts):
+    for _ in range(8):  # attempts
         x = float(rng.uniform(0, size - w))
         y = float(rng.uniform(0, size - h))
         overlap = max((_iou((x, y, w, h), p) for p in placed), default=0.0)

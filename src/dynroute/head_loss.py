@@ -57,12 +57,13 @@ from .supernet import ZeroRowMemo, kaiming_uniform
 
 FOCAL_ALPHA = 0.25
 PRIOR_PROB = 0.01  # initial foreground probability of every class logit
+TOWER_DEPTH = 2  # conv blocks per tower, the run default of head.tower_depth
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    lambda1: float = 1.0
-    lambda2: float = 1.0
+    lambda1: float
+    lambda2: float
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -110,7 +111,7 @@ class DetectionHead:
         self,
         head_channels: int,
         num_classes: int,
-        tower_depth: int = 2,
+        tower_depth: int = TOWER_DEPTH,
         seed: int = 0,
     ):
         if num_classes < 1 or tower_depth < 1:

@@ -28,7 +28,7 @@ STRATEGIES = ("fixed", "loss_aware", "scale_dynamic")
 
 @dataclass(frozen=True)
 class ScaleIntervals:
-    boundaries: tuple[float, ...] = (8.0, 16.0, 32.0)
+    boundaries: tuple[float, ...]
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.boundaries, self.boundaries[1:])):

@@ -107,12 +107,16 @@ class NodeId(NamedTuple):
 
 @dataclass(frozen=True)
 class SupernetSpec:
-    num_layers: int = 16
+    """The trellis shape; the defaults are the desk run's. The paper-scale
+    trellis is SupernetSpec(num_layers=16, channels_per_scale=(64, 128,
+    256, 512), head_channels=256), with in_channels=3 for RGB images."""
+
+    num_layers: int = 8
     num_scales: int = 4
-    channels_per_scale: tuple[int, ...] = (64, 128, 256, 512)
+    channels_per_scale: tuple[int, ...] = (8, 16, 32, 64)
     gate_threshold: float = 1e-4
-    head_channels: int = 256
-    in_channels: int = 3
+    head_channels: int = 32
+    in_channels: int = 1  # a PGM image
 
     def validate(self) -> None:
         if self.num_layers < 1:

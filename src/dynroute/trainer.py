@@ -33,10 +33,10 @@ from .config import (
     TrainConfig,
     head_from,
     intervals_from,
+    seed_from,
     supernet_spec_from,
-    train_config_from,
 )
-from .costmodel import CostConstants, binary_route_cost, compile_cost_table, network_cost
+from .costmodel import CostConstants, CostReport, binary_route_cost, compile_cost_table, network_cost
 from .data_synth import NUM_CLASSES, Corpus
 from .errors import NumericError, UsageError
 from .head_loss import (
@@ -65,8 +65,8 @@ class Model:
         self,
         spec: SupernetSpec,
         intervals: ScaleIntervals,
-        num_classes: int = 2,
-        tower_depth: int = 2,
+        num_classes: int,
+        tower_depth: int,
         seed: int = 0,
     ):
         self.spec = spec
@@ -78,26 +78,23 @@ class Model:
         )
 
     def parameters(self) -> dict[str, Tensor]:
-        merged = dict(self.supernet.params)
-        merged.update(self.head.params)
-        return merged
+        return {**self.supernet.params, **self.head.params}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = self.supernet.state_arrays()
-        arrays.update(self.head.state_arrays())
-        return arrays
+        return {k: v.data.copy() for k, v in self.parameters().items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.supernet.load_state({k: v for k, v in arrays.items() if not k.startswith("head.")})
-        self.head.load_state({k: v for k, v in arrays.items() if k.startswith("head.")})
+        ad.load_params(self.parameters(), arrays)
 
 
 def model_from_config(config: dict) -> Model:
+    """The model a config describes; it reads no train key but the seed,
+    so a checkpoint stays readable when a train setting is added."""
     return Model(
         spec=supernet_spec_from(config),
         intervals=intervals_from(config),
         num_classes=NUM_CLASSES,
-        seed=train_config_from(config).seed,
+        seed=seed_from(config),
         **head_from(config),
     )
 
@@ -149,8 +146,6 @@ class TrainingAborted(NumericError):
 @dataclass
 class TrainResult:
     log: list[dict]
-    final_state: dict[str, np.ndarray]
-    cost_table: CostConstants
 
 
 def _lr_for_epoch(config: TrainConfig, epoch: int) -> float:
@@ -178,14 +173,14 @@ def corpus_cost_table(model: Model, corpus: Corpus) -> CostConstants:
     return compile_cost_table(model.spec, height, width)
 
 
-def infer_batches(model: Model, corpus: Corpus, table: CostConstants, batch_size: int = 16):
-    """Run the corpus in order through infer mode, batch by batch.
+def infer_batches(model: Model, corpus: Corpus, table: CostConstants):
+    """Run the corpus in order through infer mode, 16 images at a time.
 
     Yields (idxs, pyramid, record, costs), costs being each sample's
     binarized route billed with the table.
     """
-    for start in range(0, len(corpus), batch_size):
-        idxs = np.arange(start, min(start + batch_size, len(corpus)))
+    for start in range(0, len(corpus), 16):
+        idxs = np.arange(start, min(start + 16, len(corpus)))
         pyramid, record = model.supernet.forward(_batch_images(corpus, idxs), mode="infer")
         yield idxs, pyramid, record, binary_route_cost(record.masks, table)
 
@@ -239,7 +234,7 @@ def train(model: Model, config: TrainConfig, corpus: Corpus) -> TrainResult:
             last_good = model.state_arrays()
     except NumericError as exc:
         raise TrainingAborted(str(exc), last_good, log) from exc
-    return TrainResult(log=log, final_state=model.state_arrays(), cost_table=table)
+    return TrainResult(log=log)
 
 
 def _train_step(
@@ -319,17 +314,19 @@ def write_log(log: list[dict], path: str | Path) -> None:
 
 
 @dataclass
-class EvalSummary:
-    sample_costs: list[float]
-    total_cost: float
+class EvalSummary(CostReport):
+    """A cost report plus route diversity and detection loss; the cost
+    statistics are CostReport's, under the names the eval CSV uses."""
+
     patterns: list[tuple[int, ...]]
-    mean_madds: float
-    max_madds: float
-    min_madds: float
-    std_madds: float
     mean_within_cos: float
     mean_cross_cos: float
     det_loss: float
+
+    mean_madds = CostReport.mean
+    max_madds = CostReport.max
+    min_madds = CostReport.min
+    std_madds = CostReport.std
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -360,7 +357,7 @@ class EvalSummary:
         )
 
 
-def evaluate_routing(model: Model, corpus: Corpus, batch_size: int = 16) -> EvalSummary:
+def evaluate_routing(model: Model, corpus: Corpus) -> EvalSummary:
     """Binarize routes over the corpus and summarize cost and diversity."""
     table = corpus_cost_table(model, corpus)
     height, width = corpus.images.shape[1:]
@@ -369,7 +366,7 @@ def evaluate_routing(model: Model, corpus: Corpus, batch_size: int = 16) -> Eval
     routes: list[np.ndarray] = []
     patterns: list[tuple[int, ...]] = []
     det_losses: list[float] = []
-    for idxs, pyramid, record, batch_costs in infer_batches(model, corpus, table, batch_size):
+    for idxs, pyramid, record, batch_costs in infer_batches(model, corpus, table):
         costs.extend(batch_costs.tolist())
         routes.append(record.route_vectors())
         geometry = PyramidGeometry.from_pyramid(pyramid, height, width)
@@ -383,15 +380,10 @@ def evaluate_routing(model: Model, corpus: Corpus, batch_size: int = 16) -> Eval
 
     route_mat = np.concatenate(routes, axis=0)
     within, cross = group_cosine_stats(route_mat, patterns)
-    arr = np.array(costs)
     return EvalSummary(
-        sample_costs=[float(c) for c in costs],
+        sample_costs=costs,
         total_cost=float(table.total),
         patterns=patterns,
-        mean_madds=float(arr.mean()),
-        max_madds=float(arr.max()),
-        min_madds=float(arr.min()),
-        std_madds=float(arr.std()),
         mean_within_cos=within,
         mean_cross_cos=cross,
         det_loss=float(np.mean(det_losses)),

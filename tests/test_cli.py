@@ -379,6 +379,24 @@ class TestCommands:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and f"{name} is not finite" in err
 
+    @pytest.mark.parametrize("kept", [
+        lambda key: key != "lr_warmup_steps",
+        lambda key: key == "seed",
+    ], ids=["no-lr_warmup_steps", "seed-only"])
+    def test_checkpoint_without_train_settings_evaluates(self, pipeline, tmp_path, capsys, kept):
+        """Rebuilding a model reads train.seed and no other train key, so
+        a checkpoint whose config lacks one still evaluates, byte for byte."""
+        arrays, meta = trainer.load_checkpoint(pipeline["run"] / "checkpoint.ckpt")
+        reports = []
+        for name, train in (("full", meta["config"]["train"]),
+                            ("trimmed", {k: v for k, v in meta["config"]["train"].items() if kept(k)})):
+            (tmp_path / name).mkdir()
+            edited = {**meta, "config": {**meta["config"], "train": train}}
+            code, err = self._run_on_checkpoint(pipeline, tmp_path / name, capsys, "eval", arrays, edited)
+            assert (code, err) == (0, "")
+            reports.append((tmp_path / name / "r.csv").read_bytes())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("command", ["eval", "cost-report", "export-route"])
     def test_image_without_pixels_exit_2(self, pipeline, tmp_path, capsys, command):
         """A 0x0 PGM is malformed: one error line, no output written."""

@@ -9,9 +9,17 @@ from pathlib import Path
 import pytest
 
 import dynroute
-from dynroute.config import TrainConfig, load_config, train_config_from
+from dynroute.config import (
+    TrainConfig,
+    load_config,
+    supernet_spec_from,
+    synth_config_from,
+    train_config_from,
+)
+from dynroute.data_synth import SynthConfig
 from dynroute.errors import ConfigurationError
 from dynroute.similarity import SimilarityConfig
+from dynroute.supernet import SupernetSpec
 
 
 def _load(tmp_path, overrides):
@@ -42,6 +50,16 @@ def test_budget_settings_validated_by_train_config():
 def test_train_config_rejects(changes, key):
     with pytest.raises(ConfigurationError, match=key):
         TrainConfig(**changes).validate()
+
+
+def test_default_document_round_trips_to_the_typed_defaults(monkeypatch):
+    """Each default lives on its typed setting, and the default document
+    builds exactly those settings back."""
+    monkeypatch.delenv("DYNROUTE_SEED", raising=False)
+    config = load_config(None)
+    assert supernet_spec_from(config) == SupernetSpec()
+    assert synth_config_from(config) == SynthConfig()
+    assert train_config_from(config) == TrainConfig()
 
 
 def test_similarity_section_reaches_train_config(tmp_path):

@@ -22,10 +22,7 @@ from dynroute.supernet import (
     valid_directions,
 )
 
-DESK_SPEC = SupernetSpec(
-    num_layers=8, num_scales=4, channels_per_scale=(8, 16, 32, 64),
-    head_channels=32, in_channels=1,
-)
+DESK_SPEC = SupernetSpec()
 
 TINY_SPEC = SupernetSpec(
     num_layers=3, num_scales=2, channels_per_scale=(4, 8),

@@ -27,10 +27,7 @@ from dynroute.trainer import (
     train,
 )
 
-SPEC = SupernetSpec(
-    num_layers=8, num_scales=4, channels_per_scale=(8, 16, 32, 64),
-    head_channels=32, in_channels=1,
-)
+SPEC = SupernetSpec()
 INTERVALS = ScaleIntervals((8.0, 16.0, 32.0))
 
 
