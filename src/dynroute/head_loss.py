@@ -18,14 +18,14 @@ copies of the memo row, and the towers and predictors run only on its
 nonzero rows, or not at all. A missing entry is filled from one zero row
 run beside the nonzero ones. The memo holds while every head parameter
 is byte-equal to the snapshot taken when it was started; any difference
-(an optimizer step, load_state, an in-place edit, even +0.0 to -0.0)
+(an optimizer step, ad.load_params, an in-place edit, even +0.0 to -0.0)
 empties it. A sample's head arithmetic does not depend on the rest of
 the batch, so the outputs equal those of running each sample alone
 without a tape, bit for bit, at batch 1 as at batch 16. Under a tape the
 whole batch runs and the memo is neither read nor filled; a taped run
-contracts channels with einsum instead of matmul (see autodiff/ops.py),
-so it agrees with a tapeless one within rounding (acceptance
-criterion 4).
+contracts channels to np.einsum's bytes, not by matmul (a channel-major
+einsum on maps larger than 1x1; see autodiff/ops.py), so it agrees with
+a tapeless one within rounding (acceptance criterion 4).
 
 Target assignment is interval-based: a box belongs to the pyramid level
 whose object-scale interval contains its longest side, and every
@@ -166,12 +166,6 @@ class DetectionHead:
         logits = ad.conv2d_1x1(self._tower("cls", x), p["head.cls_pred.w"], p["head.cls_pred.b"])
         raw = ad.conv2d_1x1(self._tower("reg", x), p["head.reg_pred.w"], p["head.reg_pred.b"])
         return logits, _distances(raw, stride)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        ad.load_params(self.params, arrays)
 
 
 @dataclass

@@ -264,7 +264,7 @@ class ZeroRowMemo:
     depthwise conv adds every product into a +0), so a copy is what fn
     would give that row, bit for bit. refresh() empties the memo when a
     parameter's bytes differ from those it was filled with (an optimizer
-    step, load_state, an in-place edit, even +0.0 to -0.0). Under a
+    step, ad.load_params, an in-place edit, even +0.0 to -0.0). Under a
     recording tape, run calls fn on the whole batch and neither reads
     nor fills the memo.
     """
@@ -364,12 +364,6 @@ class Supernet:
         self._add("extra.dw_w", kaiming_uniform(rng, (hc, 3, 3), 9))
         self._add("extra.pw_w", kaiming_uniform(rng, (hc, hc), hc))
         self._add("extra.pw_b", np.zeros(hc))
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        ad.load_params(self.params, arrays)
 
     # -- building blocks ----------------------------------------------------
 

@@ -220,6 +220,8 @@ def _tap_features(batch, channels, hw, layout, rng):
     elif layout == "upsampled":  # bilinear_upsample_2x's transposed layout
         small = Tensor(rng.normal(size=(batch, channels, (h + 1) // 2, (w + 1) // 2)))
         x = ad.bilinear_upsample_2x(small).data[:, :, :h, :w]
+    elif layout == "stride2":  # as conv2d_1x1 reads its input at stride 2
+        x = rng.normal(size=(batch, channels, 2 * h, 2 * w))[:, :, ::2, ::2]
     else:
         x = rng.normal(size=(batch, 2 * channels, h + 1, 2 * w))[:, ::2, 1:, ::2]
     return _with_signed_zeros(x, rng)
@@ -246,6 +248,38 @@ def test_depthwise_taps_equal_the_slice_formula_bytewise(layout, stride, taped):
                     want = ops._pointwise(w_pw, want_t) + b[None, :, None, None]
                 assert t.flags.c_contiguous and t.tobytes() == want_t.tobytes()
                 assert out.data.tobytes() == want.tobytes()
+
+
+def _layout(a):
+    """a's strides along its axes longer than one, which alone place its
+    entries in memory."""
+    return tuple(step for step, n in zip(a.strides, a.shape) if n > 1)
+
+
+@pytest.mark.parametrize("layout", ["c_order", "stride2", "sliced", "upsampled"])
+def test_contract_equals_the_einsum_bytewise(layout):
+    """_contract gives np.einsum's bytes and layout, signs of zero
+    included, for the taped forward (oc,bchw->bohw) and for the input
+    gradient (oc,bohw->bchw): channel-major on the C-ordered maps larger
+    than 1x1, the einsum itself on the others. The equality is a property
+    of the installed numpy's einsum, which this pins."""
+    rng = np.random.default_rng(31)
+    widths = (1, 3, 8, 32, 64)
+    for batch in (1, 2, 8, 16):
+        for channels in widths:
+            for hw in ((1, 1), (1, 5), (4, 1), (2, 2), (8, 8)):
+                x = _tap_features(batch, channels, hw, layout, rng)
+                for out_channels in widths:
+                    w = _with_signed_zeros(rng.normal(size=(out_channels, channels)), rng)
+                    want = np.einsum("oc,bchw->bohw", w, x)
+                    got = ops._contract(w, x)
+                    assert got.tobytes() == want.tobytes() and _layout(got) == _layout(want)
+                    # x as the output gradient of a conv from out_channels
+                    # channels to channels
+                    w = _with_signed_zeros(rng.normal(size=(channels, out_channels)), rng)
+                    want = np.einsum("oc,bohw->bchw", w, x)
+                    got = ops._contract(w, x, transposed=True)
+                    assert got.tobytes() == want.tobytes() and _layout(got) == _layout(want)
 
 
 def test_one_channel_tapeless_pointwise_equals_the_matmul_bytewise():
@@ -386,23 +420,29 @@ def test_depthwise_backward_skips_padding_taps_bytewise(monkeypatch, stride):
     is too after the + 0.0 the tape applies to a first gradient (a
     skipped tap's column is +0 where the nine-tap sum may give -0)."""
     rng = np.random.default_rng(29)
-    for batch in (1, 3):
-        for channels in (1, 4):
-            for hw in ((1, 1), (1, 5), (4, 1), (2, 2), (5, 6)):
-                x, w_dw, w_pw, b = _conv_block_case(batch, channels, hw, rng)
-                params = [Tensor(a) for a in (w_dw, w_pw, b)]
-                backward = _recorded_backward(
-                    monkeypatch, ad.depthwise_separable_conv3x3, Tensor(x), *params, stride=stride
-                )
-                oh, ow = ((n - 1) // stride + 1 for n in hw)
-                g = _with_signed_zeros(rng.normal(size=(batch, 5, oh, ow)), rng)
-                gx, g_dw, g_pw, g_b = backward(g)
-                want_gx, want_dw = _nine_tap_backward(np.einsum("oc,bohw->bchw", w_pw, g), x, w_dw, stride)
-                assert gx.tobytes() == want_gx.tobytes()
-                assert (g_dw + 0.0).tobytes() == (want_dw + 0.0).tobytes()
-                t = ops._depthwise_taps(x, w_dw, stride)
-                assert g_pw.tobytes() == np.einsum("bohw,bchw->oc", g, t).tobytes()
-                assert g_b.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+    cases = [
+        (batch, channels, hw)
+        for batch in (1, 3)
+        for channels in (1, 4)
+        for hw in ((1, 1), (1, 5), (4, 1), (2, 2), (5, 6))
+    ]
+    # the shapes a batch-8 training step spends its conv time on
+    cases += [(8, 32, (8, 8)), (8, 32, (2, 2))] + ([(8, 1, (64, 64))] if stride == 2 else [])
+    for batch, channels, hw in cases:
+        x, w_dw, w_pw, b = _conv_block_case(batch, channels, hw, rng)
+        params = [Tensor(a) for a in (w_dw, w_pw, b)]
+        backward = _recorded_backward(
+            monkeypatch, ad.depthwise_separable_conv3x3, Tensor(x), *params, stride=stride
+        )
+        oh, ow = ((n - 1) // stride + 1 for n in hw)
+        g = _with_signed_zeros(rng.normal(size=(batch, 5, oh, ow)), rng)
+        gx, g_dw, g_pw, g_b = backward(g)
+        want_gx, want_dw = _nine_tap_backward(np.einsum("oc,bohw->bchw", w_pw, g), x, w_dw, stride)
+        assert gx.tobytes() == want_gx.tobytes()
+        assert (g_dw + 0.0).tobytes() == (want_dw + 0.0).tobytes()
+        t = ops._depthwise_taps(x, w_dw, stride)
+        assert g_pw.tobytes() == np.einsum("bohw,bchw->oc", g, t).tobytes()
+        assert g_b.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "mul"])

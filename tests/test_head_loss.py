@@ -40,6 +40,11 @@ def _pyramid(batch=1, channels=8, seed=0):
     ]
 
 
+def _state(head):
+    """A copy of the head's parameter arrays, by name."""
+    return {k: v.data.copy() for k, v in head.params.items()}
+
+
 def _count_tower_rows(monkeypatch):
     """The batch size of every tower conv call from now on."""
     rows = []
@@ -76,10 +81,10 @@ class TestHeadForward:
 
     def test_load_state_rejects_wrong_shape(self):
         head = DetectionHead(8, num_classes=2, seed=0)
-        arrays = head.state_arrays()
+        arrays = _state(head)
         arrays["head.cls_pred.b"] = np.zeros(3)
         with pytest.raises(UsageError, match=r"head\.cls_pred\.b has shape \(3,\)"):
-            head.load_state(arrays)
+            ad.load_params(head.params, arrays)
 
     def test_gradient_through_tower(self):
         head = DetectionHead(4, num_classes=2, tower_depth=2, seed=2)
@@ -193,7 +198,7 @@ class TestZeroMemo:
     @staticmethod
     def _fresh_copy(head):
         fresh = DetectionHead(8, num_classes=3, seed=9)
-        fresh.load_state(head.state_arrays())
+        ad.load_params(fresh.params, _state(head))
         return fresh
 
     def test_warm_batch1_call_runs_only_nonzero_levels(self, monkeypatch):
@@ -241,7 +246,7 @@ class TestZeroMemo:
         pyramid = self._mixed_pyramid(batch=2)
         pyramid[2].data[1] = 1.0  # level 2 also has one nonzero row
         head.forward(pyramid, _geometry())
-        before = head.state_arrays()
+        before = _state(head)
         if edit == "tower_weight":
             head.params["head.reg_tower.1.pw_w"].data[2, 3] += 0.25
         elif edit == "bias_sign":
@@ -249,10 +254,10 @@ class TestZeroMemo:
             assert bias[0] == 0.0 and not np.signbit(bias[0])
             bias[0] = -0.0  # equal as a float, not as bytes
         elif edit == "load_state":
-            head.load_state(DetectionHead(8, num_classes=3, seed=5).state_arrays())
+            ad.load_params(head.params, _state(DetectionHead(8, num_classes=3, seed=5)))
         else:
             self._sgd_step(head, pyramid)
-        assert any(a.tobytes() != before[k].tobytes() for k, a in head.state_arrays().items())
+        assert any(a.tobytes() != before[k].tobytes() for k, a in _state(head).items())
         rows = _count_tower_rows(monkeypatch)
         pred = head.forward(pyramid, _geometry())
         # levels 1-4 refill the memo from one zero row (level 4 reads level

@@ -847,7 +847,7 @@ class TestExtraLevelMemo:
         assert rows == [3]  # the two open rows and one zero row refill it
         monkeypatch.undo()
         fresh = build_supernet(DESK_SPEC, seed=7)
-        fresh.load_state(net.state_arrays())
+        ad.load_params(fresh.params, {k: v.data.copy() for k, v in net.params.items()})
         ref, _ = fresh.forward(imgs, mode="infer", forced_gates=forced)
         for a, b in zip(pyramid, ref):
             assert a.data.tobytes() == b.data.tobytes()
