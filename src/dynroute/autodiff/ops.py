@@ -36,18 +36,25 @@ form sums in another order and rounds differently.
 
 The depthwise taps of depthwise_separable_conv3x3 have one kernel,
 with or without a tape (_depthwise_taps): one spatial-major padded
-copy (H+2, W+2, B, C) and weights tiled to (3, 3, B, C), then one
-multiply into a reused buffer and one add per tap, both over
-contiguous B*C rows, skipping taps that read only padding. Each
-output sums its products in the textbook (u, v) order from +0, so the
-taps are byte-equal to the nine-slice formula and training rounds as
-it always has. The backward's input gradient runs the same way, adding
-each tap's products into a spatial-major padded buffer in the same tap
-order; it is elementwise, so its bytes do not depend on the layout. The
-depthwise weight gradient sums products over samples and space, an
-order the layout sets, so it keeps an NCHW padded copy of the input,
-built in the backward: the tape holds none between forward and
-backward.
+copy (H+2, W+2, B, C), weights tiled to (3, 3, B, C), and one
+np.einsum("uvbc,uvijbc->ijbc") of the taps that read a sample with a
+read-only (u, v, oh, ow, B, C) strided window of the copy
+(_window_tap_sum). Each output sums its products in the textbook
+(u, v) order from +0, so the taps are byte-equal to the nine-slice
+formula and training rounds as it always has: with the tiled weights
+einsum iterates (u, v) outermost and adds each product into its +0
+output in tap order, as a loop of one multiply and one add per tap
+over contiguous B*C rows would. The stride-1 input gradient of the
+backward is the same einsum over a window of the output gradient
+padded by 2, whose taps step backwards. Three cases keep that loop
+(_window_taps, and stride 2 in the backward): one B*C row, where
+einsum reorders its loop and rounds differently; 1x1 maps, where the
+loop is faster; and the stride-2 input gradient, where a window would
+need a dilated copy of the gradient and is slower. The depthwise weight
+gradient sums products over samples and space, an order the layout
+sets, so it keeps an NCHW padded copy of the input, built in the
+backward: the tape holds none between forward and backward. Both convs
+skip the input gradient of a tensor that needs none (the images).
 
 A conv block (separable conv, bias, ReLU) is one op and one tape entry:
 with relu=True the op clamps its own fresh output in place, byte-equal
@@ -126,6 +133,35 @@ def _tiled_taps(w_dw: np.ndarray, batch: int) -> np.ndarray:
     return w
 
 
+def _window_taps(rows: int, oh: int, ow: int) -> bool:
+    """Whether taps over rows = B*C rows onto an oh x ow map run as one
+    einsum over a strided window (_window_tap_sum) rather than a loop.
+
+    One row lets einsum reorder its loop, which rounds differently, and
+    on a 1x1 map the loop is faster.
+    """
+    return rows > 1 and oh * ow > 1
+
+
+def _window_tap_sum(w, a, us, vs, origin, tap_step, oh, ow, out_step):
+    """np.einsum("uvbc,uvijbc->ijbc") of the tiled taps w[us, vs] and a
+    read-only (u, v, oh, ow, B, C) window of the spatial-major map a.
+    Output (0, 0) reads tap (us[0], vs[0]) at a[origin]; the next tap
+    reads tap_step rows (columns) on, the next output out_step.
+
+    The einsum runs (u, v) outermost and adds each product into an
+    output that starts at +0, in tap order, as the loop does.
+    """
+    s0, s1, s2, s3 = a.strides
+    window = np.lib.stride_tricks.as_strided(
+        a[origin],
+        shape=(len(us), len(vs), oh, ow) + a.shape[2:],
+        strides=(tap_step * s0, tap_step * s1, out_step * s0, out_step * s1, s2, s3),
+        writeable=False,
+    )
+    return np.einsum("uvbc,uvijbc->ijbc", w[us.start : us.stop, vs.start : vs.stop], window)
+
+
 def _depthwise_taps(x: np.ndarray, w_dw: np.ndarray, stride: int) -> np.ndarray:
     """3x3 depthwise conv (padding 1) of (B, C, H, W) features by (C, 3, 3)
     weights, returned C-contiguous as (B, C, oh, ow).
@@ -140,13 +176,45 @@ def _depthwise_taps(x: np.ndarray, w_dw: np.ndarray, stride: int) -> np.ndarray:
     xp = np.zeros((H + 2, W + 2, B, C))
     xp[1 : 1 + H, 1 : 1 + W] = x.transpose(2, 3, 0, 1)
     w = _tiled_taps(w_dw, B)
-    acc = np.zeros((oh, ow, B, C))
-    tmp = np.empty_like(acc)
-    for u in _tap_offsets(H, oh):
-        for v in _tap_offsets(W, ow):
-            np.multiply(w[u, v], xp[u : u + stride * oh : stride, v : v + stride * ow : stride], out=tmp)
-            acc += tmp
+    us, vs = _tap_offsets(H, oh), _tap_offsets(W, ow)
+    if _window_taps(B * C, oh, ow):
+        acc = _window_tap_sum(w, xp, us, vs, (us.start, vs.start), 1, oh, ow, stride)
+    else:
+        acc = np.zeros((oh, ow, B, C))
+        tmp = np.empty_like(acc)
+        for u in us:
+            for v in vs:
+                np.multiply(w[u, v], xp[u : u + stride * oh : stride, v : v + stride * ow : stride], out=tmp)
+                acc += tmp
     return np.ascontiguousarray(acc.transpose(2, 3, 0, 1))
+
+
+def _depthwise_input_grad(gt: np.ndarray, w_dw: np.ndarray, H: int, W: int, stride: int) -> np.ndarray:
+    """The gradient of _depthwise_taps's (B, C, H, W) input from that of
+    its (B, C, oh, ow) output, as a (B, C, H, W) view of a spatial-major
+    array.
+
+    The loop adds each tap's products, in tap order, into a padded
+    buffer. At stride 1 _window_tap_sum gathers the same sums: output
+    (i, j) reads tap (u, v) at (i + 3 - u, j + 3 - v) of the gradient
+    padded by 2, a window that steps back as the tap steps on.
+    """
+    B, C, oh, ow = gt.shape
+    w = _tiled_taps(w_dw, B)
+    us, vs = _tap_offsets(H, oh), _tap_offsets(W, ow)
+    if stride == 1 and _window_taps(B * C, oh, ow):
+        gtp = np.zeros((H + 4, W + 4, B, C))
+        gtp[2 : 2 + H, 2 : 2 + W] = gt.transpose(2, 3, 0, 1)
+        gx = _window_tap_sum(w, gtp, us, vs, (3 - us.start, 3 - vs.start), -1, H, W, 1)
+        return gx.transpose(2, 3, 0, 1)
+    gt_s = np.ascontiguousarray(gt.transpose(2, 3, 0, 1))
+    gxp = np.zeros((H + 2, W + 2, B, C))
+    tmp = np.empty_like(gt_s)
+    for u in us:
+        for v in vs:
+            np.multiply(w[u, v], gt_s, out=tmp)
+            gxp[u : u + stride * oh : stride, v : v + stride * ow : stride] += tmp
+    return gxp[1 : 1 + H, 1 : 1 + W].transpose(2, 3, 0, 1)
 
 
 def conv2d_1x1(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -169,9 +237,10 @@ def conv2d_1x1(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -
     w_data = w.data
 
     def backward(g):
-        gxs = _contract(w_data, g, transposed=True)
-        gx = np.zeros(x_shape)
-        gx[:, :, ::stride, ::stride] = gxs
+        gx = None
+        if x.requires_grad:
+            gx = np.zeros(x_shape)
+            gx[:, :, ::stride, ::stride] = _contract(w_data, g, transposed=True)
         gw = np.einsum("bohw,bchw->oc", g, xs)
         if b is None:
             return gx, gw
@@ -231,21 +300,14 @@ def depthwise_separable_conv3x3(
         xp = np.zeros((B, C, H + 2, W + 2))
         xp[:, :, 1 : 1 + H, 1 : 1 + W] = x_data
         g_dw = np.zeros_like(w_dw_data)
-        # gx as the forward runs its taps: spatial-major, B*C rows per add
-        gt_s = np.ascontiguousarray(gt.transpose(2, 3, 0, 1))
-        w = _tiled_taps(w_dw_data, B)
-        gxp = np.zeros((H + 2, W + 2, B, C))
-        tmp = np.empty_like(gt_s)
-        # as in the forward, a tap that reads only padding adds nothing to
-        # gx; its g_dw column stays +0, the sum of its zero products but
+        # as in the forward, taps that read only padding are skipped; a
+        # skipped g_dw column stays +0, the sum of its zero products but
         # for the sign, which the tape's first-gradient + 0.0 drops
         for u in _tap_offsets(H, oh):
             for v in _tap_offsets(W, ow):
                 sl = xp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
                 g_dw[:, u, v] = (gt * sl).sum(axis=(0, 2, 3))
-                np.multiply(w[u, v], gt_s, out=tmp)
-                gxp[u : u + stride * oh : stride, v : v + stride * ow : stride] += tmp
-        gx = gxp[1 : 1 + H, 1 : 1 + W].transpose(2, 3, 0, 1)
+        gx = _depthwise_input_grad(gt, w_dw_data, H, W, stride) if x.requires_grad else None
         if b_pw is not None:
             return gx, g_dw, g_pw, g_b
         return gx, g_dw, g_pw

@@ -227,27 +227,47 @@ def _tap_features(batch, channels, hw, layout, rng):
     return _with_signed_zeros(x, rng)
 
 
+TAP_CASES = (
+    [
+        (batch, channels, hw)
+        for batch in (1, 3, 16)
+        for channels in (1, 4, 32)
+        for hw in ((1, 1), (1, 5), (4, 1), (2, 2), (5, 6), (8, 8), (7, 9))
+    ]
+    # one to three rows: one keeps the loop, two and three run the window
+    # einsum, which on one row would round differently on these maps
+    + [
+        (batch, channels, hw)
+        for batch, channels in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1))
+        for hw in ((4, 4), (5, 6), (9, 7), (16, 16))
+    ]
+    # the batch-8 and batch-16 maps of the desk model
+    + [(batch, channels, (n, n)) for batch in (8, 16) for channels in (8, 32, 64) for n in (2, 4, 8, 16, 32)]
+)
+
+
 @pytest.mark.parametrize("taped", [False, True])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("layout", ["c_order", "upsampled", "sliced"])
+@pytest.mark.parametrize("layout", ["c_order", "stride2", "sliced", "upsampled"])
 def test_depthwise_taps_equal_the_slice_formula_bytewise(layout, stride, taped):
     """Same bytes as the nine-slice formula, signs of zero included, with
-    the padding-only taps of one-row, one-column and 2x2 maps skipped."""
+    the padding-only taps of one-row, one-column and 2x2 maps skipped, on
+    either side of the loop / window-einsum predicate (_window_taps). The
+    equality is a property of the installed numpy's einsum, which this
+    pins."""
     rng = np.random.default_rng(11)
-    for batch in (1, 3, 16):
-        for channels in (1, 4, 32):
-            for hw in ((1, 1), (1, 5), (4, 1), (2, 2), (5, 6), (8, 8), (7, 9)):
-                x = _tap_features(batch, channels, hw, layout, rng)
-                w_dw = _with_signed_zeros(rng.normal(size=(channels, 3, 3)), rng)
-                w_pw, b = rng.normal(size=(5, channels)), rng.normal(size=5)
-                want_t = _slice_formula_taps(x, w_dw, stride)
-                params = [Tensor(a, requires_grad=True) for a in (w_dw, w_pw, b)]
-                with Tape() if taped else contextlib.nullcontext():
-                    t = ops._depthwise_taps(x, w_dw, stride)
-                    out = ad.depthwise_separable_conv3x3(Tensor(x), *params, stride=stride)
-                    want = ops._pointwise(w_pw, want_t) + b[None, :, None, None]
-                assert t.flags.c_contiguous and t.tobytes() == want_t.tobytes()
-                assert out.data.tobytes() == want.tobytes()
+    for batch, channels, hw in TAP_CASES:
+        x = _tap_features(batch, channels, hw, layout, rng)
+        w_dw = _with_signed_zeros(rng.normal(size=(channels, 3, 3)), rng)
+        w_pw, b = rng.normal(size=(5, channels)), rng.normal(size=5)
+        want_t = _slice_formula_taps(x, w_dw, stride)
+        params = [Tensor(a, requires_grad=True) for a in (w_dw, w_pw, b)]
+        with Tape() if taped else contextlib.nullcontext():
+            t = ops._depthwise_taps(x, w_dw, stride)
+            out = ad.depthwise_separable_conv3x3(Tensor(x), *params, stride=stride)
+            want = ops._pointwise(w_pw, want_t) + b[None, :, None, None]
+        assert t.flags.c_contiguous and t.tobytes() == want_t.tobytes()
+        assert out.data.tobytes() == want.tobytes()
 
 
 def _layout(a):
@@ -428,11 +448,13 @@ def test_depthwise_backward_skips_padding_taps_bytewise(monkeypatch, stride):
     ]
     # the shapes a batch-8 training step spends its conv time on
     cases += [(8, 32, (8, 8)), (8, 32, (2, 2))] + ([(8, 1, (64, 64))] if stride == 2 else [])
+    # either side of the window einsum that runs the stride-1 gx
+    cases += [(8, 8, (8, 8)), (8, 16, (4, 4)), (16, 32, (2, 2)), (1, 1, (8, 8))]
     for batch, channels, hw in cases:
         x, w_dw, w_pw, b = _conv_block_case(batch, channels, hw, rng)
         params = [Tensor(a) for a in (w_dw, w_pw, b)]
         backward = _recorded_backward(
-            monkeypatch, ad.depthwise_separable_conv3x3, Tensor(x), *params, stride=stride
+            monkeypatch, ad.depthwise_separable_conv3x3, Tensor(x, requires_grad=True), *params, stride=stride
         )
         oh, ow = ((n - 1) // stride + 1 for n in hw)
         g = _with_signed_zeros(rng.normal(size=(batch, 5, oh, ow)), rng)
@@ -443,6 +465,30 @@ def test_depthwise_backward_skips_padding_taps_bytewise(monkeypatch, stride):
         t = ops._depthwise_taps(x, w_dw, stride)
         assert g_pw.tobytes() == np.einsum("bohw,bchw->oc", g, t).tobytes()
         assert g_b.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_convs_on_a_non_grad_input_return_no_input_gradient(monkeypatch, stride):
+    """Both convs skip the gradient of an input that needs none (the
+    images under the stem), and their parameters' gradients keep the
+    bytes they have when it is computed."""
+    rng = np.random.default_rng(37)
+    for batch, channels, hw in ((8, 1, (16, 16)), (3, 4, (5, 6)), (16, 32, (2, 2)), (1, 1, (1, 1))):
+        x, w_dw, w_pw, b = _conv_block_case(batch, channels, hw, rng)
+        w = rng.normal(size=(5, channels))
+        oh, ow = ((n - 1) // stride + 1 for n in hw)
+        g = _with_signed_zeros(rng.normal(size=(batch, 5, oh, ow)), rng)
+        for op, params in ((ad.depthwise_separable_conv3x3, (w_dw, w_pw, b)), (ad.conv2d_1x1, (w, b))):
+            grads = {}
+            for needs_grad in (False, True):
+                args = [Tensor(a, requires_grad=True) for a in params]
+                backward = _recorded_backward(
+                    monkeypatch, op, Tensor(x, requires_grad=needs_grad), *args, stride=stride
+                )
+                grads[needs_grad] = backward(g)
+            assert grads[False][0] is None and grads[True][0].shape == x.shape
+            for got, want in zip(grads[False][1:], grads[True][1:]):
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "mul"])
