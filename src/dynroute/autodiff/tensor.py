@@ -215,14 +215,15 @@ def straight_through(a: Tensor, value, passes: np.ndarray | None = None) -> Tens
     return record((a,), value, backward)
 
 
-def tsum(*tensors: Tensor) -> Tensor:
+def tsum(*tensors: Tensor, scale: float = 1.0) -> Tensor:
     """The sum of all elements of the tensors, each tensor's np.sum added
-    in turn; each gets the gradient broadcast to its shape."""
+    in turn, times scale (the float steps of tsum then mul by a constant);
+    each gets the gradient times scale, broadcast to its shape."""
     total = np.sum(tensors[0].data)
     for t in tensors[1:]:
         total = total + np.sum(t.data)
     shapes = [t.data.shape for t in tensors]
-    return record(tensors, total, lambda g: tuple(np.broadcast_to(g, s).copy() for s in shapes))
+    return record(tensors, total * scale, lambda g: tuple(np.broadcast_to(g * scale, s).copy() for s in shapes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Run configuration: schema, key tables, validation and typed builders.
+"""Run configuration: schema, key tables and typed builders.
 
 A config is a single JSON document (schema "dynroute-config/1") with
 sections supernet, budget, similarity, head, data, train. Every field
@@ -15,8 +15,10 @@ each loss among the last 100. The environment variable DYNROUTE_SEED
 overrides both data and train seeds. Images have one channel and
 objects two classes (data_synth.NUM_CLASSES); neither is a setting.
 
-load_config merges a file over the defaults and builds every typed
-object from the result, so a bad value fails there, as one
+Every typed setting (SupernetSpec, SynthConfig, TrainConfig and the
+ones it holds) checks its fields on construction, so an invalid one
+cannot exist. load_config merges a file over the defaults and builds
+every typed object from the result, so a bad value fails there, as one
 ConfigurationError naming its key, before any work is done.
 """
 
@@ -63,7 +65,7 @@ class TrainConfig:
     lr_warmup_steps: int = 50  # linear ramp from base_lr/10; 0 disables
     similarity: SimilarityConfig = SimilarityConfig()  # bounds of L_local's targets
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("batch_size and epochs must be >= 1")
         if self.seed < 0:
@@ -179,7 +181,7 @@ def _merge_section(defaults: dict, overrides, path: str) -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    """Read and validate a config file; None yields pure defaults."""
+    """Read a config file and build every setting from it; None: pure defaults."""
     overrides: dict = {}
     if path is not None:
         try:
@@ -204,10 +206,8 @@ def load_config(path: str | None) -> dict:
             raise ConfigurationError(f"DYNROUTE_SEED must be >= 0, got {env_seed!r}")
         config["data"]["seed"] = seed
         config["train"]["seed"] = seed
-    supernet_spec_from(config).validate()
-    synth_config_from(config).validate()
-    train_config_from(config).validate()
-    head_from(config)
+    for build in (supernet_spec_from, synth_config_from, train_config_from, head_from):
+        build(config)  # each setting checks its fields as it is built
     return config
 
 

@@ -45,7 +45,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .autodiff import tensor as ad_tensor
 from .errors import UsageError
-from .supernet import NodeId, Supernet, SupernetSpec, reachable_nodes, valid_directions
+from .supernet import NodeId, Supernet, SupernetSpec, reachable_nodes, scale_size, valid_directions
 
 
 def sepconv3x3_madds(out_h: int, out_w: int, c_in: int, c_out: int) -> int:
@@ -92,7 +92,6 @@ class CostConstants:
 
 
 def compile_cost_table(spec: SupernetSpec, input_h: int, input_w: int) -> CostConstants:
-    spec.validate()
     div = spec.min_divisor
     if input_h % div != 0 or input_w % div != 0:
         raise UsageError(
@@ -103,8 +102,7 @@ def compile_cost_table(spec: SupernetSpec, input_h: int, input_w: int) -> CostCo
     for node in reachable_nodes(spec):
         s = node.scale
         c = spec.channels_per_scale[s]
-        h = input_h // (8 * 2**s)
-        w = input_w // (8 * 2**s)
+        h, w = scale_size((input_h, input_w), s)
         valid = valid_directions(spec, node)
         c_conv = float(sepconv3x3_madds(h, w, c, c))
         c_up = 0.0

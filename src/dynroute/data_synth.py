@@ -30,6 +30,8 @@ SHAPES_PER_INTERVAL = 2  # draw 1..this many objects per occupied interval
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The corpus to draw; it checks its fields, patterns included, on construction."""
+
     image_size: int = 64
     num_images: int = 512
     scale_mix: tuple[tuple[tuple[int, ...], float], ...] = (
@@ -44,7 +46,7 @@ class SynthConfig:
     seed: int = 7
     boundaries: tuple[float, ...] = (8, 16, 32)  # ints, as the default config writes them
 
-    def validate(self) -> ScaleIntervals:
+    def __post_init__(self):
         if self.image_size < 8:
             raise ConfigurationError("image_size must be >= 8")
         if self.num_images < 1:
@@ -53,7 +55,7 @@ class SynthConfig:
             raise ConfigurationError(f"noise must be >= 0, got {self.noise}")
         if self.seed < 0:
             raise ConfigurationError(f"data.seed must be >= 0, got {self.seed}")
-        intervals = ScaleIntervals(tuple(float(b) for b in self.boundaries))
+        intervals = self.intervals
         m = intervals.m
         weight_sum = 0.0
         for pattern, weight in self.scale_mix:
@@ -72,7 +74,10 @@ class SynthConfig:
                         )
         if abs(weight_sum - 1.0) > 1e-9:
             raise ConfigurationError(f"pattern weights sum to {weight_sum}, expected 1")
-        return intervals
+
+    @property
+    def intervals(self) -> ScaleIntervals:
+        return ScaleIntervals(tuple(float(b) for b in self.boundaries))
 
 
 def _interval_side_range(intervals: ScaleIntervals, idx: int, image_size: int) -> tuple[int, int]:
@@ -101,7 +106,7 @@ class Corpus:
 
 
 def generate_corpus(config: SynthConfig) -> Corpus:
-    intervals = config.validate()
+    intervals = config.intervals
     size = config.image_size
     pattern_list = [tuple(p) for p, _ in config.scale_mix]
     weights = np.array([w for _, w in config.scale_mix])

@@ -35,10 +35,10 @@ and therefore trains as pure background.
 
 The detection loss is a sigmoid focal classification term over all
 locations plus an IoU term (1 - IoU) over positives, both normalized by
-the number of positives: one tape op per term and level, one tsum over
-them and one mul. The full objective adds the budget and path-similarity
-regularizers with their weights, one op (total_loss); during the warmup
-epochs the trainer passes neither.
+the number of positives: one tape op per term and level, then one tsum
+over them that scales by 1/num_pos. The full objective adds the budget
+and path-similarity regularizers with their weights, one op
+(total_loss); during the warmup epochs the trainer passes neither.
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ def detection_loss(pred: DensePrediction, targets: Targets) -> tuple[Tensor, np.
             terms.append(iou_rows)
             per_sample += np.bincount(b_idx, weights=iou_rows.data, minlength=B)
 
-    loss = ad.mul(ad.tsum(*terms), Tensor(1.0 / num_pos))
+    loss = ad.tsum(*terms, scale=1.0 / num_pos)
     pos_per_sample = np.maximum(1, targets.per_sample_positives())
     return loss, per_sample / pos_per_sample
 

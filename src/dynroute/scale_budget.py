@@ -72,23 +72,25 @@ def expected_budget(s: np.ndarray, c0: float, m: int) -> float:
     return c0 * max(occupied, 1) / m
 
 
-def global_budget_loss(c_net, c_expect) -> Tensor:
+def global_budget_loss(c_net, c_expect, c_tot: float = 1.0) -> Tensor:
     """Squared gap between normalized network cost and budget, batch mean,
-    as one op with the float steps of the sub, square and mean ops it
-    replaced.
+    as one op with the float steps of the mul by 1/c_tot, sub, square and
+    mean ops it replaced.
 
-    Both arguments are in normalized (cost / total-cost) units; c_net may
-    be a Tensor of per-sample costs, c_expect a constant of the same shape
-    (ConfigurationError otherwise).
+    c_net may be a Tensor of per-sample costs, c_expect a constant of the
+    same shape (ConfigurationError otherwise), both in units of c_tot (the
+    default 1: already normalized): c_net is normalized as c_net * (1 /
+    c_tot), c_expect as c_expect / c_tot.
     """
     c_net, c_expect = ad.as_tensor(c_net), ad.as_tensor(c_expect)
     if c_net.shape != c_expect.shape:
         raise ConfigurationError(f"global_budget_loss: shapes {c_net.shape} and {c_expect.shape} differ")
-    gap = c_net.data - c_expect.data
+    inv = 1.0 / c_tot
+    gap = c_net.data * inv - c_expect.data / c_tot
 
     def backward(g):
         g_gap = 2.0 * gap * np.broadcast_to(g / gap.size, gap.shape)
-        return g_gap, -g_gap
+        return g_gap * inv, -g_gap / c_tot
 
     return ad_tensor.record((c_net, c_expect), np.mean(gap * gap), backward)
 

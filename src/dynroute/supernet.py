@@ -109,7 +109,8 @@ class NodeId(NamedTuple):
 class SupernetSpec:
     """The trellis shape; the defaults are the desk run's. The paper-scale
     trellis is SupernetSpec(num_layers=16, channels_per_scale=(64, 128,
-    256, 512), head_channels=256), with in_channels=3 for RGB images."""
+    256, 512), head_channels=256), with in_channels=3 for RGB images. It
+    checks its fields on construction (ConfigurationError)."""
 
     num_layers: int = 8
     num_scales: int = 4
@@ -118,7 +119,7 @@ class SupernetSpec:
     head_channels: int = 32
     in_channels: int = 1  # a PGM image
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_layers < 1:
             raise ConfigurationError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.num_scales < 1:
@@ -144,6 +145,11 @@ class SupernetSpec:
     def min_divisor(self) -> int:
         """Smallest spatial divisor an input must satisfy (8 * 2^(S-1))."""
         return 8 * (2 ** (self.num_scales - 1))
+
+
+def scale_size(hw: tuple[int, int], scale: int) -> tuple[int, int]:
+    """(h, w) of a scale's maps for an input of size hw."""
+    return hw[0] // (8 * 2**scale), hw[1] // (8 * 2**scale)
 
 
 def reachable_nodes(spec: SupernetSpec) -> list[NodeId]:
@@ -316,14 +322,12 @@ class Supernet:
     """Parameter container plus the forward pass over the trellis."""
 
     def __init__(self, spec: SupernetSpec, seed: int = 0):
-        spec.validate()
         self.spec = spec
         self.nodes = reachable_nodes(spec)
         self.node_masks = {n: valid_directions(spec, n) for n in self.nodes}
         self._index = {n: i for i, n in enumerate(self.nodes)}
         self._valid = np.array([self.node_masks[n] for n in self.nodes])  # (N, 3)
         self.params: dict[str, Tensor] = {}
-        self._input_hw: tuple[int, int] = (0, 0)  # set per forward pass
         self._init_params(np.random.default_rng(seed))
         self._extra_zero_rows = ZeroRowMemo([self.params[f"extra.{k}"] for k in ("dw_w", "pw_w", "pw_b")])
 
@@ -430,7 +434,6 @@ class Supernet:
 
         spec = self.spec
         tau = spec.gate_threshold
-        self._input_hw = (H, W)
         masks_all = np.zeros(gates_all.shape, dtype=bool)
         gate_tensors: dict[NodeId, Tensor] = {}
         # contributions flowing into the current layer, keyed by scale, and
@@ -514,7 +517,7 @@ class Supernet:
             open_in[:, 1:] += open_mask[:, : k_next - 1, 2]
             lo += k
 
-        pyramid = self._project(last_outputs, B, mode)
+        pyramid = self._project(last_outputs, B, (H, W), mode)
         record = RouteRecord(
             node_ids=list(self.nodes),
             gates={n: gates_all[:, i] for i, n in enumerate(self.nodes)},
@@ -533,17 +536,9 @@ class Supernet:
             return self.stem_forward(ad.gather_rows(images, rows))
         B = n_open.shape[0]
         if not parts:
-            return Tensor(np.zeros(self._node_shape(node, B)))
+            size = scale_size(images.data.shape[2:], node.scale)
+            return Tensor(np.zeros((B, self.spec.channels_per_scale[node.scale]) + size))
         return path_mean(parts, n_open, rows, B)
-
-    def _node_shape(self, node: NodeId, batch: int) -> tuple[int, int, int, int]:
-        b, size = batch, self._scale_size(node.scale)
-        return (b, self.spec.channels_per_scale[node.scale], size[0], size[1])
-
-    def _scale_size(self, scale: int) -> tuple[int, int]:
-        h = self._input_hw[0] // (8 * 2**scale)
-        w = self._input_hw[1] // (8 * 2**scale)
-        return h, w
 
     def _forced_gate_array(self, forced, batch) -> tuple[np.ndarray, list[bool]]:
         """The (B, N, 3) forced gates in node order, boundary-masked, zeros
@@ -585,20 +580,21 @@ class Supernet:
             return ad.bilinear_upsample_2x(ad.conv2d_1x1(y, self.params[f"{base}.up_w"]))
         return ad.conv2d_1x1(y, self.params[f"{base}.down_w"], stride=2)
 
-    def _project(self, last_outputs: dict[int, Part], B: int, mode: str) -> list[Tensor]:
-        """The output projections and the extra level. In infer mode a
-        scale no route reaches is zeros, without its conv: the conv has
-        no bias and its matmul sums start at +0. Train mode runs it, so
-        proj.{s}.w still gets a (zero) gradient and momentum."""
+    def _project(self, last_outputs: dict[int, Part], B: int, hw: tuple[int, int], mode: str) -> list[Tensor]:
+        """The output projections and the extra level of B images of size
+        hw. In infer mode a scale no route reaches is zeros, without its
+        conv: the conv has no bias and its matmul sums start at +0. Train
+        mode runs it, so proj.{s}.w still gets a (zero) gradient and
+        momentum."""
         pyramid: list[Tensor] = []
         for s in range(self.spec.num_scales):
             if s in last_outputs:
                 feat = path_mean([last_outputs[s]], None, None, B)
             elif mode == "infer":
-                pyramid.append(Tensor(np.zeros((B, self.spec.head_channels) + self._scale_size(s))))
+                pyramid.append(Tensor(np.zeros((B, self.spec.head_channels) + scale_size(hw, s))))
                 continue
             else:
-                feat = Tensor(np.zeros(self._node_shape(NodeId(self.spec.num_layers, s), B)))
+                feat = Tensor(np.zeros((B, self.spec.channels_per_scale[s]) + scale_size(hw, s)))
             pyramid.append(ad.conv2d_1x1(feat, self.params[f"proj.{s}.w"]))
         if mode == "infer":
             self._extra_zero_rows.refresh()

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import scale_budget
 from .autodiff import Tape, Tensor, load_checkpoint, save_checkpoint
 from .config import (
     TrainConfig,
@@ -191,7 +192,6 @@ def train(model: Model, config: TrainConfig, corpus: Corpus) -> TrainResult:
     Raises TrainingAborted (carrying the last epoch's parameters) when a
     loss term goes non-finite.
     """
-    config.validate()
     table = corpus_cost_table(model, corpus)
     encodings_all = np.stack(
         [encode_scales(corpus.boxes_hw(i), model.intervals) for i in range(len(corpus))]
@@ -242,17 +242,12 @@ def _train_step(
     forced_gates=None,
 ) -> dict:
     images = _batch_images(corpus, idxs)
-    boxes = [corpus.boxes_xywhc(int(i)) for i in idxs]
-    height, width = corpus.images.shape[1:]
     c_tot = table.total
     weights = LossWeights(config.lambda1, config.lambda2)
 
     with Tape() as tape:
         pyramid, record = model.supernet.forward(images, mode="train", forced_gates=forced_gates)
-        geometry = PyramidGeometry.from_pyramid(pyramid, height, width)
-        pred = model.head.forward(pyramid, geometry)
-        targets = assign_targets(boxes, geometry, model.intervals, model.num_classes)
-        l_det, det_per_sample = detection_loss(pred, targets)
+        l_det, det_per_sample = corpus_detection_loss(model, corpus, idxs, pyramid)
 
         cnet = network_cost(record.gate_tensors, table, billed_conv=True)
         mean_ratio = float(np.mean(cnet.data)) / c_tot
@@ -266,7 +261,8 @@ def _train_step(
                 config.budget_strategy, encodings, det_per_sample, config.c0_ratio * c_tot,
                 m=model.intervals.m, loss_buffer=loss_buffer,
             )
-            l_global = _normalized_budget_loss(cnet, budgets, c_tot)
+            # looked up at call time, so tools that wrap it see the call
+            l_global = scale_budget.global_budget_loss(cnet, budgets, c_tot)
             if config.lambda2 > 0:
                 routes = ad.concat([record.gate_tensors[n] for n in record.node_ids], axis=1)
                 l_local = local_similarity_loss(routes, encodings, config.similarity)
@@ -284,11 +280,14 @@ def _train_step(
     }
 
 
-def _normalized_budget_loss(cnet: Tensor, budgets: np.ndarray, c_tot: float) -> Tensor:
-    from .scale_budget import global_budget_loss
-
-    cnet_norm = ad.mul(cnet, Tensor(1.0 / c_tot))
-    return global_budget_loss(cnet_norm, Tensor(budgets / c_tot))
+def corpus_detection_loss(model: Model, corpus: Corpus, idxs, pyramid) -> tuple[Tensor, np.ndarray]:
+    """detection_loss of the corpus samples idxs, whose pyramid this is:
+    the head's prediction against their assigned targets."""
+    geometry = PyramidGeometry.from_pyramid(pyramid, *corpus.images.shape[1:])
+    pred = model.head.forward(pyramid, geometry)
+    boxes = [corpus.boxes_xywhc(int(i)) for i in idxs]
+    targets = assign_targets(boxes, geometry, model.intervals, model.num_classes)
+    return detection_loss(pred, targets)
 
 
 def _budget_targets(strategy, encodings, det_per_sample, c0, m, loss_buffer) -> np.ndarray:
@@ -298,7 +297,7 @@ def _budget_targets(strategy, encodings, det_per_sample, c0, m, loss_buffer) -> 
         return np.array(
             [loss_aware_budget(loss_buffer, float(v)) for v in det_per_sample]
         )
-    # scale_dynamic, the one strategy left after TrainConfig.validate
+    # scale_dynamic, the one strategy TrainConfig leaves
     return np.array([expected_budget(s, c0, m) for s in encodings])
 
 
@@ -360,7 +359,6 @@ class EvalSummary(CostReport):
 def evaluate_routing(model: Model, corpus: Corpus) -> EvalSummary:
     """Binarize routes over the corpus and summarize cost and diversity."""
     table = corpus_cost_table(model, corpus)
-    height, width = corpus.images.shape[1:]
 
     costs: list[float] = []
     routes: list[np.ndarray] = []
@@ -369,12 +367,7 @@ def evaluate_routing(model: Model, corpus: Corpus) -> EvalSummary:
     for idxs, pyramid, record, batch_costs in infer_batches(model, corpus, table):
         costs.extend(batch_costs.tolist())
         routes.append(record.route_vectors())
-        geometry = PyramidGeometry.from_pyramid(pyramid, height, width)
-        pred = model.head.forward(pyramid, geometry)
-        boxes = [corpus.boxes_xywhc(int(i)) for i in idxs]
-        targets = assign_targets(boxes, geometry, model.intervals, model.num_classes)
-        _, per_sample = detection_loss(pred, targets)
-        det_losses.extend(per_sample.tolist())
+        det_losses.extend(corpus_detection_loss(model, corpus, idxs, pyramid)[1].tolist())
         for i in idxs:
             patterns.append(tuple(int(v) for v in encode_scales(corpus.boxes_hw(int(i)), model.intervals)))
 

@@ -1044,6 +1044,21 @@ def test_tsum_of_many_equals_tsum_and_add_bytewise(scale):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("scale", [0.7, 0.0, -0.0])
+def test_scaled_tsum_equals_tsum_and_mul_bytewise(scale):
+    """A tsum with scale 1/n (the detection loss's 1/num_pos) equals, bit
+    for bit, the tsum then a mul by a constant 1/n that it replaced: the
+    value and each tensor's gradient, one of them also fed by a later
+    consumer, under an upstream gradient of 0.7, +0.0 and -0.0."""
+    rng = np.random.default_rng(15)
+    datas = [rng.normal(size=s) * 1e3 ** rng.normal() for s in ((3, 4), (5,), (2, 2, 3))]
+    later = {1: rng.normal(size=5)}
+    for n in (1, 3, 7):
+        ops = (lambda *ts: ad.tsum(*ts, scale=1.0 / n), lambda *ts: ad.mul(ad.tsum(*ts), Tensor(1.0 / n)))
+        results = [_run_bytewise(op, datas, np.float64(scale), later) for op in ops]
+        assert results[0] == results[1]
+
+
 def test_determinism_bit_identical():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(2, 3, 8, 8))
@@ -1202,12 +1217,16 @@ OPS = [
     ),
     ("sum", ad.tsum, [(3, 4)], None),
     ("sum_many", lambda a, b, c: ad.tsum(a, b, c), [(3, 4), (2,), (2, 1, 3)], None),
+    # the detection loss's sum of its terms times 1/num_pos
+    ("sum_scaled", lambda a, b: ad.tsum(a, b, scale=0.25), [(3, 4), (2,)], None),
     # standardize_rows: a router on 1x1 maps with an identity mix, so its
     # input rows are the standardized channel means themselves
     ("standardize_rows", lambda x: ad.router(x, Tensor(np.eye(5)), Tensor(_FC_5), Tensor(_FC_B)), [(3, 5, 1, 1)], None),
     # mean: the budget loss over a 2-D batch, 1/12 of each squared gap
     ("mean", lambda a: global_budget_loss(a, Tensor(np.full((3, 4), 0.3))), [(3, 4)], None),
     ("budget_loss", lambda c: global_budget_loss(c, Tensor(np.full(8, 0.3))), [(8,)], None),
+    # the budget loss normalizing both sides by C_tot itself, both tracked
+    ("budget_loss_normalized", lambda c, e: global_budget_loss(c, e, 7.0), [(8,), (8,)], None),
     # the max over a node's gates, billed at c_conv, plus the direction costs
     ("network_cost", lambda a: network_cost({_NODE: a}, _ONE_NODE_TABLE), [(4, 3)], _max_ties),
     # reshape: the bias of a 1x1 conv alone, reshaped to (1, C, 1, 1) and

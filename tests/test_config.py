@@ -1,5 +1,6 @@
 """Run configuration: typed builders, early validation, module layering."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -30,10 +31,29 @@ def _load(tmp_path, overrides):
 
 def test_budget_settings_validated_by_train_config():
     with pytest.raises(ConfigurationError, match="c0_ratio"):
-        TrainConfig(c0_ratio=-1.0).validate()
+        TrainConfig(c0_ratio=-1.0)
     with pytest.raises(ConfigurationError, match="strategy"):
-        TrainConfig(budget_strategy="nope").validate()
-    TrainConfig(budget_strategy="fixed").validate()
+        TrainConfig(budget_strategy="nope")
+    TrainConfig(budget_strategy="fixed")
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SupernetSpec(channels_per_scale=(8, 16, 32)), "channels_per_scale has 3 entries"),
+        (lambda: SynthConfig(noise=-0.5), "noise"),
+        (lambda: TrainConfig(momentum=1.5), "momentum"),
+        # the default lr drops at epochs 8 and 11 do not fit 4 epochs
+        (lambda: dataclasses.replace(TrainConfig(), epochs=4), "lr_drop_epochs"),
+    ],
+)
+def test_settings_check_themselves_on_construction(build, match):
+    """A setting with a bad field cannot be built, whatever builds it
+    (its constructor or dataclasses.replace), so no consumer re-checks it
+    and none has a validate() to call."""
+    with pytest.raises(ConfigurationError, match=match):
+        build()
+    assert not any(hasattr(s, "validate") for s in (SupernetSpec, SynthConfig, TrainConfig))
 
 
 @pytest.mark.parametrize(
@@ -49,7 +69,7 @@ def test_budget_settings_validated_by_train_config():
 )
 def test_train_config_rejects(changes, key):
     with pytest.raises(ConfigurationError, match=key):
-        TrainConfig(**changes).validate()
+        TrainConfig(**changes)
 
 
 def test_default_document_round_trips_to_the_typed_defaults(monkeypatch):

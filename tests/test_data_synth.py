@@ -50,12 +50,11 @@ class TestGeneration:
                 assert max(b[2], b[3]) <= 8
 
     def test_unrealizable_pattern_rejected(self):
-        cfg = SynthConfig(
-            image_size=16, num_images=4, seed=1,
-            scale_mix=(((0, 0, 1, 0), 1.0),),  # needs sides 17..32 on a 16px canvas
-        )
         with pytest.raises(ConfigurationError, match="unrealizable"):
-            generate_corpus(cfg)
+            SynthConfig(
+                image_size=16, num_images=4, seed=1,
+                scale_mix=(((0, 0, 1, 0), 1.0),),  # needs sides 17..32 on a 16px canvas
+            )
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigurationError, match="sum"):

@@ -600,7 +600,8 @@ class TestDetectionLoss:
 
     def test_tape_entries_do_not_depend_on_positive_count(self):
         """One focal op per level and one IoU op per level with positives,
-        whether it has one positive or four, then one tsum and one mul."""
+        whether it has one positive or four, then one tsum scaled by
+        1/num_pos."""
         geometry = PyramidGeometry(image_h=16, image_w=16, sizes=[(4, 4)], strides=[4.0])
         intervals = ScaleIntervals((16.0,))
         counts = []
@@ -611,7 +612,7 @@ class TestDetectionLoss:
             with Tape() as tape:
                 detection_loss(DensePrediction([logits], [dists]), targets)
             counts.append((targets.num_positives, len(tape)))
-        assert counts == [(0, 3), (1, 4), (4, 4)]
+        assert counts == [(0, 2), (1, 3), (4, 3)]
 
     def test_gradient_of_detection_loss(self):
         geometry = PyramidGeometry(image_h=16, image_w=16, sizes=[(2, 2)], strides=[8.0])

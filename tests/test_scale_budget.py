@@ -144,6 +144,28 @@ class TestGlobalBudgetLoss:
                 results.append((loss.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()))
             assert results[0] == results[1]
 
+    @pytest.mark.parametrize("c_tot", [3.0, 236864.0])
+    def test_normalizing_equals_mul_then_loss_bytewise(self, c_tot):
+        """Given c_tot, the loss and c_net's gradient equal, bit for bit,
+        those of the chain the trainer ran before the op normalized by
+        itself: c_net times a constant 1 / c_tot (ad.mul), then the loss
+        against c_expect / c_tot; with a zero gap and upstream gradients
+        of 0.9, -0.45, +0.0 and -0.0."""
+        rng = np.random.default_rng(int(c_tot))
+        c_net = rng.uniform(0.0, c_tot, 8)
+        c_expect = rng.uniform(0.0, c_tot, 8)
+        c_net[0] = c_expect[0]
+        chain = lambda a: global_budget_loss(ad.mul(a, Tensor(1.0 / c_tot)), Tensor(c_expect / c_tot))  # noqa: E731
+        for scale in (0.9, -0.45, 0.0, -0.0):
+            results = []
+            for loss_fn in (lambda a: global_budget_loss(a, Tensor(c_expect), c_tot), chain):
+                a = Tensor(c_net.copy(), requires_grad=True)
+                with Tape() as tape:
+                    loss = loss_fn(a)
+                    tape.backward(ad.mul(loss, Tensor(scale)))
+                results.append((loss.data.tobytes(), a.grad.tobytes()))
+            assert results[0] == results[1]
+
     def test_two_gate_toy_net_finite_differences(self):
         """Budget loss gradient through the network cost of a one-node table."""
         from dynroute.costmodel import CostConstants, NodeCost, network_cost

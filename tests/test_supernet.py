@@ -70,9 +70,9 @@ class TestTrellisStructure:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError, match="double"):
-            SupernetSpec(num_layers=2, num_scales=2, channels_per_scale=(8, 24)).validate()
+            SupernetSpec(num_layers=2, num_scales=2, channels_per_scale=(8, 24))
         with pytest.raises(ConfigurationError):
-            SupernetSpec(num_layers=0).validate()
+            SupernetSpec(num_layers=0)
 
     def test_boundary_direction_validity(self):
         spec = DESK_SPEC

@@ -43,12 +43,12 @@ def corpus64():
 class TestConfigValidation:
     def test_lr_drops_must_fit(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(epochs=4, lr_drop_epochs=(8,)).validate()
+            TrainConfig(epochs=4, lr_drop_epochs=(8,))
 
     def test_similarity_needs_pairs(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig(batch_size=1, lambda2=1.0, lr_drop_epochs=()).validate()
-        TrainConfig(batch_size=1, lambda2=0.0, epochs=1, lr_drop_epochs=()).validate()
+            TrainConfig(batch_size=1, lambda2=1.0, lr_drop_epochs=())
+        TrainConfig(batch_size=1, lambda2=0.0, epochs=1, lr_drop_epochs=())
 
 
 class TestTrainingLoop:
